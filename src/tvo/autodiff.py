@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import util
 from .errors import DomainError, NumericalError, ShapeError, UsageError
 
 __all__ = [
     "Tape", "Var", "backward", "add", "sub", "mul", "div", "neg", "matmul",
     "tsum", "tmean", "exp", "log", "sigmoid", "tanh", "log_sigmoid",
-    "logsumexp", "log_softmax", "gather", "reshape", "detach", "value_of",
+    "bernoulli_logpmf", "logsumexp", "log_softmax", "gather", "reshape", "detach", "value_of",
     "ParamVector", "finite_difference_gradient", "value_and_grad",
     "random_check_network",
 ]
@@ -135,6 +136,11 @@ def backward(out: Var) -> None:
 
     `out` must be a scalar. One backward pass per tape; each node is visited
     exactly once, in reverse construction order.
+
+    A parent's first contribution is stored as its slot without a copy. A vjp
+    returns fresh arrays, or (add, reshape) its incoming gradient or a view of
+    it, which other nodes' slots may share; such a borrowed slot is replaced
+    by a new sum on its next contribution instead of being added to in place.
     """
     if not isinstance(out, Var):
         raise UsageError("backward requires a Var produced by a forward evaluation")
@@ -144,13 +150,20 @@ def backward(out: Var) -> None:
     if out.value.size != 1:
         raise UsageError(f"backward requires a scalar output, got shape {out.value.shape}")
     out.grad = np.ones_like(out.value)
+    owned = set()  # ids of nodes whose slot no other node can see
     for node in reversed(tape.nodes):
         if node.grad is None or node._vjp is None:
             continue
         for parent, pgrad in zip(node._parents, node._vjp(node.grad)):
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.value)
-            parent.grad += pgrad
+                parent.grad = pgrad
+                if pgrad is not node.grad and pgrad.base is None:
+                    owned.add(id(parent))
+            elif id(parent) in owned:
+                parent.grad += pgrad
+            else:
+                parent.grad = parent.grad + pgrad
+                owned.add(id(parent))
     tape._backward_done = True
 
 
@@ -325,19 +338,10 @@ def log(a):
 def sigmoid(a):
     tape = _tape_of(a)
     av = value_of(a)
-    out = _sigmoid_value(av)
+    out = util.sigmoid(av)
     if tape is None:
         return out
     return _record(tape, out, (a,), lambda g: [g * out * (1.0 - out)], "sigmoid")
-
-
-def _sigmoid_value(v):
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
 
 
 def tanh(a):
@@ -349,15 +353,43 @@ def tanh(a):
 
 
 def log_sigmoid(a):
-    """log(sigmoid(a)), stable on both tails; first-class to keep Bernoulli
-    log-likelihoods of wide observations from underflowing."""
+    """log(sigmoid(a)), stable on both tails."""
     tape = _tape_of(a)
     av = value_of(a)
-    out = np.where(av >= 0, -np.log1p(np.exp(-np.abs(av))), av - np.log1p(np.exp(-np.abs(av))))
+    out = util.log_sigmoid(av)
     if tape is None:
         return out
-    sig_neg = _sigmoid_value(-av)  # d/dx log sigmoid(x) = sigmoid(-x)
+    sig_neg = util.sigmoid(-av)  # d/dx log sigmoid(x) = sigmoid(-x)
     return _record(tape, out, (a,), lambda g: [g * sig_neg], "log_sigmoid")
+
+
+def bernoulli_logpmf(y, logits):
+    """sum_i log Bernoulli(y_i | sigmoid(t_i)) over the last axis, one tape node.
+
+    For binary y this is exactly -sum(logaddexp(0, (1 - 2y) t)), evaluated in
+    the stable form max(s, 0) + log1p(exp(-|s|)). y is constant data; logits
+    may broadcast against it (a shared prior row, one encoder row per datum).
+    The vjp is g * (y - sigmoid(t)), reduced back to the logits' shape.
+    """
+    if isinstance(y, Var):
+        raise UsageError("bernoulli_logpmf: y must be constant observations, not a Var")
+    tape = _tape_of(logits)
+    yv, tv = _as_array(y), value_of(logits)
+    s = (1.0 - 2.0 * yv) * tv  # log-odds against the observed value
+    tail = np.abs(s)
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    np.maximum(s, 0.0, out=s)
+    s += tail
+    out = -np.sum(s, axis=-1)
+    if tape is None:
+        return out
+
+    def vjp(g):
+        return [_unbroadcast(np.asarray(g)[..., None] * (yv - util.sigmoid(tv)), tv.shape)]
+
+    return _record(tape, np.asarray(out), (logits,), vjp, "bernoulli_logpmf")
 
 
 def logsumexp(a, axis=None, keepdims=False):
@@ -567,6 +599,7 @@ def random_check_network(seed: int):
         "table": rng.normal(size=(5,)) * 0.7,
         "scale": rng.normal(size=()) * 0.5,
     })
+    bits = (rng.random(size=(2, n_rows, 2)) < 0.5).astype(np.float64)  # broadcasts over logits
 
     def fn(view):
         h1 = tanh(add(matmul(x0, view["w1"]), view["b1"]))
@@ -578,8 +611,9 @@ def random_check_network(seed: int):
         squashed = log_sigmoid(matmul(ratio, view["w3"]))
         picked = gather(view["table"], table_idx)
         flat = reshape(squashed, (-1,))
+        coins = bernoulli_logpmf(bits, matmul(ratio, view["w3"]))
         return add(
-            logsumexp(flat),
+            add(logsumexp(flat), tsum(coins)),
             sub(tsum(mul(picked, picked)), neg(tmean(ratio))),
         )
 

@@ -104,7 +104,19 @@ def build_weight_table(model, params, x, S, schedule, seed) -> WeightTable:
     """Draw z_s ~ q(.|x) once, score them under p and q, temper per knot.
 
     Identical seeds give bit-identical tables. A row whose weights are all
-    zero means the proposal missed the joint's support entirely.
+    zero means the proposal missed the joint's support entirely. Scores with
+    plain arrays; a training step makes the same call on a lifted view
+    (_scored_table) and differentiates that one forward pass.
+    """
+    return _scored_table(model, params, params.as_dict(), x, S, schedule, seed)[0]
+
+
+def _scored_table(model, params, view, x, S, schedule, seed):
+    """build_weight_table scoring through `view`: (table, U', log p, log q).
+
+    With a lifted view the three scores are Vars on its tape, so a training
+    step differentiates the very forward pass that produced its weights; the
+    table is bit-identical to build_weight_table's at the same seed.
     """
     if S < 1:
         raise DomainError(f"need at least one sample, got S={S}")
@@ -115,14 +127,13 @@ def build_weight_table(model, params, x, S, schedule, seed) -> WeightTable:
         x = x[None, :]
     rng = rng_stream(seed, _STREAM_SAMPLES)
     zs = model.sample_q(params, x, S, rng)
-    view = params.as_dict()
-    lj = np.asarray(model.log_joint(view, x, zs))
-    lq = np.asarray(model.log_q(view, x, zs))
-    log_w = lj - lq
+    u, lj, lq = _instantaneous_bound(model, view, x, zs)
+    log_w = value_of(u)
     if np.any(np.all(log_w == -np.inf, axis=1)):
         raise DegenerateWeightsError("all importance weights are zero for some observation")
-    return WeightTable(betas=betas, log_w=log_w, norm_w=tempered_columns(log_w, betas),
-                       zs=zs, x=x, seed=int(seed), single=single)
+    table = WeightTable(betas=betas, log_w=log_w, norm_w=tempered_columns(log_w, betas),
+                        zs=zs, x=x, seed=int(seed), single=single)
+    return table, u, lj, lq
 
 
 def exact_weight_table(model, params, x, schedule) -> WeightTable:
@@ -195,19 +206,30 @@ def _log_path(lj, lq, beta):
     return ad.add(ad.mul(float(beta), lj), ad.mul(1.0 - float(beta), lq))
 
 
-def _covariance_surrogate(wbar, f_var, log_path_var):
-    """Scalar whose gradient is E^[grad f] + Cov^[grad log pi~, f], per datum.
+def _covariance_surrogate(table, terms, f_var, lj, lq):
+    """Per-datum scalar whose gradient is the sum over (k, width) in `terms`
+    of width * (E^_k[grad f] + Cov^_k[grad log pi~_k, f]), every expectation
+    under column k of `table`.
 
     With every inner expectation taken from the same weight column, the
     one-sided form E^[(f - E^ f) grad log pi~] equals the full covariance,
-    so a single detached coefficient per sample suffices.
+    so a single detached coefficient per sample suffices. Each term is
+    linear in f and in log pi~_k = beta_k log p + (1 - beta_k) log q, so the
+    terms sum to one coefficient per sample on each of f, log p and log q:
+    the tape holds the same few nodes for any number of terms.
     """
     f_det = value_of(f_var)
-    f_bar = np.einsum("bs,bs->b", wbar, f_det)[:, None]
-    coeff = wbar * (f_det - f_bar)
-    direct = ad.tsum(ad.mul(wbar, f_var), axis=1)
-    score = ad.tsum(ad.mul(coeff, log_path_var), axis=1)
-    return ad.add(direct, score)
+    on_f = on_lj = on_lq = 0.0
+    for k, width in terms:
+        wbar = table.column(k)
+        beta = float(table.betas[k])
+        f_bar = np.einsum("bs,bs->b", wbar, f_det)[:, None]
+        coeff = width * wbar * (f_det - f_bar)
+        on_f = on_f + width * wbar
+        on_lj = on_lj + beta * coeff
+        on_lq = on_lq + (1.0 - beta) * coeff
+    score = ad.add(ad.mul(on_lj, lj), ad.mul(on_lq, lq))
+    return ad.tsum(ad.add(ad.mul(on_f, f_var), score), axis=1)
 
 
 def _finish(per_item_surrogate, params, view, mask_prefixes=None):
@@ -229,12 +251,11 @@ def covariance_gradient(model, params, x, f, table: WeightTable, beta_index) -> 
     under the same tempered column of `table` (nested sample reuse). Touches
     only the unnormalized path density, never its normalizing constant.
     """
-    beta = float(table.betas[beta_index])
     tape = Tape()
     view = params.lift(tape)
     u, lj, lq = _instantaneous_bound(model, view, table.x, table.zs)
     f_var = u if f is None else f(view, table.x, table.zs)
-    per_item = _covariance_surrogate(table.column(beta_index), f_var, _log_path(lj, lq, beta))
+    per_item = _covariance_surrogate(table, [(beta_index, 1.0)], f_var, lj, lq)
     grad = _finish(per_item, params, view)
     _check_finite_grad(grad, params)
     return GradientEstimate(grad, "covariance", table.n_samples, table.betas.size - 1, table.seed)
@@ -329,14 +350,14 @@ def reparam_gradient(model, params, x, objective, S, seed) -> GradientEstimate:
     """Pathwise gradient through z = mean + std * eps for location-scale q.
 
     objective: "elbo" (mean of U' over samples) or "iwae" (log mean weight).
+    eps ~ N(0, I) has shape (B, S) + model.latent_shape.
     """
     if getattr(model, "latent", "discrete") != "continuous" or not hasattr(model, "reparam_sample"):
         raise UnsupportedEstimatorError("reparameterization requires a location-scale continuous q")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    rng = rng_stream(seed, _STREAM_REPARAM)
-    eps = rng.normal(size=model.sample_q(params, x, S, rng_stream(seed, _STREAM_REPARAM + 1)).shape)
+    eps = rng_stream(seed, _STREAM_REPARAM).normal(size=(x.shape[0], S) + tuple(model.latent_shape))
     tape = Tape()
     view = params.lift(tape)
     z = model.reparam_sample(view, x, eps)

@@ -61,13 +61,6 @@ def index_to_bits(idx, width) -> np.ndarray:
     return ((idx[..., None] >> np.arange(width)) & 1).astype(np.float64)
 
 
-def _bernoulli_logpmf(y, logits):
-    """Elementwise y*log sigmoid(t) + (1-y)*log sigmoid(-t), summed over the last axis."""
-    pos = ad.log_sigmoid(logits)
-    neg = ad.log_sigmoid(ad.neg(logits))
-    return ad.tsum(ad.add(ad.mul(y, pos), ad.mul(1.0 - y, neg)), axis=-1)
-
-
 def _log_normal(v, mean, log_std):
     """log N(v | mean, exp(log_std)^2), elementwise."""
     delta = ad.sub(v, mean)
@@ -197,6 +190,7 @@ class ConjugateGaussian(LatentModel):
     """
 
     latent = "continuous"
+    latent_shape = ()  # z has shape (B, S)
 
     def init_params(self, seed) -> ParamVector:
         rng = rng_stream(seed, 17)
@@ -455,21 +449,21 @@ class SigmoidBeliefNet(LatentModel):
         x = _check_binary(x)
         z = self._check_z(z)
         top = z[:, :, self.layers - 1, :]
-        total = _bernoulli_logpmf(top, view["theta/prior"])
+        total = ad.bernoulli_logpmf(top, view["theta/prior"])
         for ell in range(self.layers - 1, 0, -1):
             logits = self._apply_map(view, f"theta/dec{ell}", 2.0 * z[:, :, ell, :] - 1.0)
-            total = ad.add(total, _bernoulli_logpmf(z[:, :, ell - 1, :], logits))
+            total = ad.add(total, ad.bernoulli_logpmf(z[:, :, ell - 1, :], logits))
         logits_x = ad.add(self._apply_map(view, "theta/decx", 2.0 * z[:, :, 0, :] - 1.0), self.x_bias)
-        return ad.add(total, _bernoulli_logpmf(x[:, None, :], logits_x))
+        return ad.add(total, ad.bernoulli_logpmf(x[:, None, :], logits_x))
 
     def log_q(self, view, x, z):
         x = _check_binary(x)
         z = self._check_z(z)
         logits1 = self._apply_map(view, "phi/enc1", (x - self.x_mean + 1.0) / 2.0)
-        total = _bernoulli_logpmf(z[:, :, 0, :], ad.reshape(logits1, (x.shape[0], 1, self.d_z)))
+        total = ad.bernoulli_logpmf(z[:, :, 0, :], ad.reshape(logits1, (x.shape[0], 1, self.d_z)))
         for ell in range(2, self.layers + 1):
             logits = self._apply_map(view, f"phi/enc{ell}", 2.0 * z[:, :, ell - 2, :] - 1.0)
-            total = ad.add(total, _bernoulli_logpmf(z[:, :, ell - 1, :], logits))
+            total = ad.add(total, ad.bernoulli_logpmf(z[:, :, ell - 1, :], logits))
         return total
 
     def sample_q(self, params, x, S, rng):
@@ -510,6 +504,7 @@ class GaussianVAE(LatentModel):
     def __init__(self, d_x=784, d_z=20):
         self.d_x = d_x
         self.d_z = d_z
+        self.latent_shape = (d_z,)  # z has shape (B, S, d_z)
 
     def init_params(self, seed) -> ParamVector:
         rng = rng_stream(seed, 29)
@@ -556,7 +551,7 @@ class GaussianVAE(LatentModel):
         z = self._check_z(z)
         lp_z = ad.mul(ad.tsum(ad.add(ad.mul(z, z), LOG_2PI), axis=-1), -0.5)
         logits = self.decoder_logits(view, z)
-        return ad.add(lp_z, _bernoulli_logpmf(x[:, None, :], logits))
+        return ad.add(lp_z, ad.bernoulli_logpmf(x[:, None, :], logits))
 
     def log_q(self, view, x, z):
         z = self._check_z(z)
@@ -564,7 +559,7 @@ class GaussianVAE(LatentModel):
         mean, log_std = self.q_mean_log_std(view, x)
         mean3 = ad.reshape(mean, (B, 1, self.d_z))
         ls3 = ad.reshape(log_std, (B, 1, self.d_z))
-        return ad.tsum(_log_normal_elem(z, mean3, ls3), axis=-1)
+        return ad.tsum(_log_normal(z, mean3, ls3), axis=-1)
 
     def sample_q(self, params, x, S, rng):
         view = params.as_dict()
@@ -586,13 +581,6 @@ class GaussianVAE(LatentModel):
         logits = value_of(self.decoder_logits(view, z))[:, 0, :]
         x = (rng.random((n, self.d_x)) < sigmoid(logits)).astype(np.float64)
         return x, z[:, 0, :]
-
-
-def _log_normal_elem(v, mean, log_std):
-    """Elementwise log normal density (no trailing-axis sum)."""
-    delta = ad.sub(v, mean)
-    scaled = ad.mul(delta, ad.exp(ad.neg(log_std)))
-    return ad.sub(ad.mul(ad.mul(scaled, scaled), -0.5), ad.add(0.5 * LOG_2PI, log_std))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .autodiff import Tape
 from .errors import ConfigError, DegenerateWeightsWarning, ShapeError
 from .estimators import (GradientEstimate, WeightTable, _covariance_surrogate,
-                         _finish, _instantaneous_bound, _log_path, _STREAM_FRESH,
+                         _finish, _scored_table, _STREAM_FRESH,
                          _STREAM_SIMULATE, build_weight_table, reparam_gradient)
 from .path import PartitionSchedule, make_schedule
 from .util import effective_sample_size, logsumexp, rng_stream
@@ -167,8 +167,10 @@ def training_step(spec: ObjectiveSpec, model, params, x, seed, crn=True):
 
     The objective is the width-weighted sum of tempered expectations of U';
     each term is differentiated with the covariance estimator. With common
-    random numbers (default) one sample batch and one tape serve every term;
-    without, each knot draws its own batch. Model-simulated mode replaces x
+    random numbers (default) one sample batch and one taped forward pass
+    serve every term: the weight table, and so the value, comes from the
+    taped scores, bit-identical to build_weight_table at the same seed.
+    Without, each knot draws its own batch. Model-simulated mode replaces x
     by ancestral draws from the generative model and freezes theta.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -180,33 +182,27 @@ def training_step(spec: ObjectiveSpec, model, params, x, seed, crn=True):
     prefixes = _optimize_prefixes(spec)
 
     if spec.kind == "iwae":
-        table = build_weight_table(model, params, x, spec.S, np.array([0.0, 1.0]), seed)
-        value = float(np.mean(iwae_estimate(table.log_w)))
         if getattr(model, "latent", "") == "continuous" and hasattr(model, "reparam_sample"):
+            table = build_weight_table(model, params, x, spec.S, np.array([0.0, 1.0]), seed)
+            value = float(np.mean(iwae_estimate(table.log_w)))
             est = reparam_gradient(model, params, x, "iwae", spec.S, seed)
             keep = np.zeros(params.size, dtype=bool)
             for prefix in prefixes:
                 keep |= params.mask(prefix)
             grad = np.where(keep, est.vector, 0.0)
             return value, GradientEstimate(grad, "reparam", spec.S, 1, int(seed))
-        grad = _iwae_gradient(model, params, table, prefixes)
+        value, grad = _iwae_gradient(model, params, x, spec.S, seed, prefixes)
         return value, GradientEstimate(grad, "covariance", spec.S, 1, int(seed))
 
     if not crn:
         return _training_step_no_reuse(spec, model, params, x, seed, prefixes)
 
     # one sample batch and one tape serve every Riemann term
-    shared = build_weight_table(model, params, x, spec.S, spec.schedule.betas, seed)
-    value = float(np.mean(np.asarray(objective_estimate(spec, shared))))
     tape = Tape()
     view = params.lift(tape)
-    u, lj, lq = _instantaneous_bound(model, view, shared.x, shared.zs)
-    per_item = None
-    for k, width in _riemann_terms(spec):
-        beta = float(shared.betas[k])
-        term = _covariance_surrogate(shared.column(k), u, _log_path(lj, lq, beta))
-        term = ad.mul(term, width) if width != 1.0 else term
-        per_item = term if per_item is None else ad.add(per_item, term)
+    shared, u, lj, lq = _scored_table(model, params, view, x, spec.S, spec.schedule.betas, seed)
+    value = float(np.mean(np.asarray(objective_estimate(spec, shared))))
+    per_item = _covariance_surrogate(shared, _riemann_terms(spec), u, lj, lq)
     grad = _finish(per_item, params, view, mask_prefixes=prefixes)
     estimate = GradientEstimate(grad, "covariance", spec.S, spec.schedule.K, int(seed))
     return value, estimate
@@ -233,13 +229,15 @@ def _training_step_no_reuse(spec, model, params, x, seed, prefixes):
     return value, estimate
 
 
-def _iwae_gradient(model, params, table, prefixes):
-    """Self-normalized gradient sum_s w_s grad log w_s with detached weights."""
+def _iwae_gradient(model, params, x, S, seed, prefixes):
+    """(IWAE value, self-normalized gradient sum_s w_s grad log w_s with
+    detached weights), both from one taped scoring of one sample batch."""
     tape = Tape()
     view = params.lift(tape)
-    u, _, _ = _instantaneous_bound(model, view, table.x, table.zs)
+    table, u, _, _ = _scored_table(model, params, view, x, S, np.array([0.0, 1.0]), seed)
+    value = float(np.mean(iwae_estimate(table.log_w)))
     wbar = table.column(table.beta_index(1.0))
-    return _finish(ad.tsum(ad.mul(wbar, u), axis=1), params, view, mask_prefixes=prefixes)
+    return value, _finish(ad.tsum(ad.mul(wbar, u), axis=1), params, view, mask_prefixes=prefixes)
 
 
 def training_gradient(spec: ObjectiveSpec, model, params, x, seed, crn=True) -> GradientEstimate:

@@ -47,13 +47,11 @@ def log_softmax(v, axis=-1):
 
 
 def sigmoid(v):
+    """1 / (1 + exp(-v)) from e = exp(-|v|): 1 / (1 + e) for v >= 0, else
+    e / (1 + e), so neither tail overflows."""
     v = np.asarray(v, dtype=np.float64)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
 def log_sigmoid(v):

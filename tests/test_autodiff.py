@@ -127,7 +127,7 @@ def _primitive_cases():
     v6 = rng.normal(size=6)
     m43 = rng.normal(size=(4, 3))
     idx = np.array([2, 0, 2])
-    return [
+    cases = [
         ("add", lambda p: ad.tsum(ad.add(p["a"], v3)), {"a": rng.normal(size=3)}),
         ("sub", lambda p: ad.tsum(ad.sub(v3, p["a"])), {"a": rng.normal(size=3)}),
         ("mul", lambda p: ad.tsum(ad.mul(p["a"], p["b"])), {"a": rng.normal(size=3), "b": rng.normal(size=3)}),
@@ -149,6 +149,14 @@ def _primitive_cases():
         ("broadcast", lambda p: ad.tsum(ad.mul(p["row"], m43)),
          {"row": rng.normal(size=(1, 3))}),
     ]
+    bits = (rng.random(size=(2, 4, 3)) < 0.5).astype(np.float64)  # (B, S, d_z)
+    coins = lambda p: ad.tsum(ad.bernoulli_logpmf(bits, p["t"]))  # noqa: E731
+    cases += [
+        ("bernoulli_logpmf", coins, {"t": rng.normal(size=(2, 4, 3)) * 2}),
+        ("bernoulli_logpmf_row", coins, {"t": rng.normal(size=3) * 2}),
+        ("bernoulli_logpmf_per_item", coins, {"t": rng.normal(size=(2, 1, 3)) * 2}),
+    ]
+    return cases
 
 
 @pytest.mark.parametrize("name,fn,named", _primitive_cases(), ids=[c[0] for c in _primitive_cases()])
@@ -161,6 +169,56 @@ def test_every_primitive_matches_finite_differences(name, fn, named):
 
     fd = ad.finite_difference_gradient(evaluate, params.vector, h=1e-5)
     assert np.max(np.abs(grad - fd)) / max(1.0, np.max(np.abs(fd))) <= 1e-5
+
+
+def test_bernoulli_logpmf_matches_log_sigmoid_composition():
+    # the composed form the primitive replaced, y log s(t) + (1 - y) log s(-t)
+    rng = np.random.default_rng(5)
+    y = (rng.random((4, 3, 6)) < 0.5).astype(np.float64)
+    params = ad.ParamVector.build({"t": rng.normal(size=(4, 1, 6)) * 30})  # both tails
+
+    def composed(view):
+        t = view["t"]
+        pos, neg = ad.log_sigmoid(t), ad.log_sigmoid(ad.neg(t))
+        return ad.tsum(ad.tsum(ad.add(ad.mul(y, pos), ad.mul(1.0 - y, neg)), axis=-1))
+
+    fused_value, fused_grad = ad.value_and_grad(lambda v: ad.tsum(ad.bernoulli_logpmf(y, v["t"])), params)
+    ref_value, ref_grad = ad.value_and_grad(composed, params)
+    assert fused_value == ref_value
+    np.testing.assert_allclose(fused_grad, ref_grad, rtol=1e-12, atol=1e-15)
+
+
+def test_bernoulli_logpmf_rejects_taped_observations():
+    tape = ad.Tape()
+    y = tape.leaf(np.ones(3))
+    with pytest.raises(UsageError):
+        ad.bernoulli_logpmf(y, np.zeros(3))
+
+
+def test_pass_through_gradients_are_not_written_through():
+    # add hands its incoming gradient to both parents and reshape a view of
+    # it; p's later second contribution must land in p's slot alone
+    c = np.array([0.5, -1.5, 2.0, 0.25])
+    params = ad.ParamVector.build({"x": np.array([0.3, -0.7, 1.1, 0.0])})
+
+    def fn(view):
+        p, r = ad.exp(view["x"]), ad.tanh(view["x"])
+        m = ad.mul(p, c)
+        s = ad.add(p, r)
+        w = ad.reshape(s, (2, 2))
+        return ad.add(ad.tsum(ad.mul(w, w)), ad.tsum(m)), (p, r, s, w)
+
+    view = params.lift(ad.Tape())
+    out, (p, r, s, w) = fn(view)
+    ad.backward(out)
+    two_s = 2.0 * s.value
+    np.testing.assert_array_equal(w.grad, 2.0 * w.value)
+    np.testing.assert_array_equal(s.grad, two_s)
+    np.testing.assert_array_equal(r.grad, two_s)
+    np.testing.assert_array_equal(p.grad, two_s + c)
+    fd = ad.finite_difference_gradient(lambda v: float(fn(params.with_vector(v).as_dict())[0]),
+                                       params.vector)
+    assert np.max(np.abs(view["x"].grad - fd)) / max(1.0, np.max(np.abs(fd))) <= 1e-5
 
 
 def test_backward_linearity():

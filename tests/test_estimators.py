@@ -331,6 +331,19 @@ def test_reparam_matches_frozen_noise_finite_differences():
     assert rel <= 1e-5
 
 
+@pytest.mark.parametrize("model", [GaussianVAE(d_x=6, d_z=3), ConjugateGaussian()],
+                         ids=["vae", "conjugate"])
+def test_reparam_draws_noise_without_sampling_q(monkeypatch, model):
+    params = model.init_params(9)
+    x = np.ones((2, 6)) if isinstance(model, GaussianVAE) else np.array([[0.4], [-0.2]])
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("reparam_gradient ran the sampling forward pass")
+
+    monkeypatch.setattr(model, "sample_q", no_sampling)
+    assert est.reparam_gradient(model, params, x, "iwae", S=4, seed=31).vector.shape == (params.size,)
+
+
 def test_reparam_rejected_for_discrete_latents():
     model, params, x = toy_setup()
     with pytest.raises(UnsupportedEstimatorError):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import mc_mean_se
+from tvo import autodiff as ad
 from tvo import objectives as obj
 from tvo import oracles
 from tvo.errors import ConfigError, DegenerateWeightsWarning, ShapeError
 from tvo.estimators import build_weight_table, exact_weight_table
-from tvo.models import ConjugateGaussian, random_conjugate_gaussian, random_toy
+from tvo.models import (ConjugateGaussian, SigmoidBeliefNet, random_conjugate_gaussian,
+                        random_toy)
 from tvo.path import make_schedule
 
 
@@ -267,3 +269,46 @@ def test_training_step_returns_estimate_and_value():
     assert value == pytest.approx(float(np.mean(obj.tvo_lower(table, spec.schedule))), rel=1e-12)
     assert grad.vector.shape == (params.size,)
     assert grad.K == 2 and grad.S == 12
+
+
+def _single_pass_case(name):
+    if name == "sbn":
+        model = SigmoidBeliefNet(d_x=8, d_z=3, layers=2, nonlinear=True)
+        x = (np.random.default_rng(2).random((3, 8)) < 0.5).astype(np.float64)
+        return model, model.init_params(4), x
+    if name == "toy":
+        model, params = random_toy(23, m=2, d_x=2)
+        return model, params, np.array([[1.0, 0.0], [0.0, 0.0]])
+    model, params, x = random_conjugate_gaussian(5)
+    return model, params, np.array([[x], [x + 0.5]])
+
+
+@pytest.mark.parametrize("case,kind", [("sbn", "tvo_lower"), ("sbn", "iwae"),
+                                       ("toy", "tvo_upper"), ("gaussian", "elbo")])
+def test_crn_training_step_scores_only_on_the_tape(monkeypatch, case, kind):
+    model, params, x = _single_pass_case(case)
+    spec = obj.ObjectiveSpec(kind, make_schedule(3, 0.1, "log"), S=8)
+    want = obj.objective_estimate(spec, build_weight_table(model, params, x, 8, spec.schedule.betas, 11))
+    numeric = []
+    for name in ("log_joint", "log_q"):
+        def counted(view, x, z, _method=getattr(model, name), _name=name):
+            if not any(isinstance(v, ad.Var) for v in view.values()):
+                numeric.append(_name)
+            return _method(view, x, z)
+        monkeypatch.setattr(model, name, counted)
+    value, _ = obj.training_step(spec, model, params, x, seed=11)
+    assert numeric == []
+    assert value == float(np.mean(np.asarray(want)))
+
+
+@pytest.mark.parametrize("kind", ["tvo_lower", "tvo_upper"])
+def test_crn_training_gradient_sums_the_term_gradients(kind):
+    from tvo.estimators import covariance_gradient
+
+    model, params, x = _single_pass_case("sbn")
+    spec = obj.ObjectiveSpec(kind, make_schedule(3, 0.1, "log"), S=8)
+    table = build_weight_table(model, params, x, 8, spec.schedule.betas, 11)
+    want = sum(width * covariance_gradient(model, params, x, None, table, k).vector
+               for k, width in obj._riemann_terms(spec))
+    got = obj.training_gradient(spec, model, params, x, seed=11).vector
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)

@@ -32,6 +32,14 @@ def test_log_sigmoid_tails_do_not_overflow():
     assert out[2] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_sigmoid_tails_do_not_overflow():
+    v = np.array([-800.0, -3.0, 0.0, 3.0, 800.0, -np.inf, np.inf])
+    with np.errstate(over="raise"):
+        out = util.sigmoid(v)
+    np.testing.assert_allclose(out[1:4], 1.0 / (1.0 + np.exp(-v[1:4])), rtol=1e-15)
+    np.testing.assert_array_equal(out[[0, 2, 4, 5, 6]], [0.0, 0.5, 1.0, 0.0, 1.0])
+
+
 def test_effective_sample_size_bounds():
     uniform = np.full(8, 1.0 / 8)
     assert util.effective_sample_size(uniform) == pytest.approx(8.0)
