@@ -519,6 +519,15 @@ class ParamVector:
                 out[self._slices[n][0]] = True
         return out
 
+    def zero_outside(self, vector, prefixes) -> np.ndarray:
+        """Zero, in place, the slices of `vector` whose segment name starts
+        with none of `prefixes`; returns `vector`."""
+        prefixes = tuple(prefixes)
+        for n in self.names:
+            if not n.startswith(prefixes):
+                vector[self._slices[n][0]] = 0.0
+        return vector
+
     def segment_of_index(self, d) -> str:
         for n in self.names:
             sl, _ = self._slices[n]
@@ -527,8 +536,16 @@ class ParamVector:
         raise IndexError(d)
 
     def lift(self, tape) -> dict:
-        """Leaf Vars per segment, for building a differentiable expression."""
-        return {n: tape.leaf(np.array(self.get(n)), name=n) for n in self.names}
+        """Leaf Vars per segment, for building a differentiable expression.
+
+        Each leaf holds a read-only view of its segment, not a copy.
+        """
+        view = {}
+        for n in self.names:
+            value = self.get(n)
+            value.flags.writeable = False
+            view[n] = tape.leaf(value, name=n)
+        return view
 
     def collect_grad(self, view) -> np.ndarray:
         """Flat gradient aligned with this vector from a lifted view after backward."""

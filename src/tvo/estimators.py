@@ -28,6 +28,10 @@ _STREAM_FRESH = 107
 _STREAM_SIMULATE = 109
 _STREAM_REPARAM = 113
 
+# samples per item block when a tape-free table is scored: the (items, S, d)
+# temporaries of one block stay cache-sized instead of streaming through DRAM
+BLOCK = 1024
+
 
 def _as_beta_grid(schedule) -> np.ndarray:
     if isinstance(schedule, PartitionSchedule):
@@ -95,6 +99,15 @@ class WeightTable:
             raise ShapeError(f"beta index {beta_index} outside 0..{self.betas.size - 1}")
         return self.norm_w[:, beta_index, :]
 
+    def expect(self, beta_index, f=None) -> np.ndarray:
+        """Per-item sum_s w_s^beta f(z_s) under one column, shape (B,).
+
+        f defaults to U' = log w, which gives the integrand estimate g(beta).
+        Every per-knot contraction goes through here, so the K = 1 reductions
+        and the curve endpoints reproduce the endpoint estimates bit for bit.
+        """
+        return np.einsum("bs,bs->b", self.column(beta_index), self.log_w if f is None else f)
+
     def squeeze(self, per_item):
         per_item = np.asarray(per_item)
         return float(per_item[0]) if self.single else per_item
@@ -105,8 +118,9 @@ def build_weight_table(model, params, x, S, schedule, seed) -> WeightTable:
 
     Identical seeds give bit-identical tables. A row whose weights are all
     zero means the proposal missed the joint's support entirely. Scores with
-    plain arrays; a training step makes the same call on a lifted view
-    (_scored_table) and differentiates that one forward pass.
+    plain arrays in item blocks of about BLOCK samples; a training step makes
+    the same call on a lifted view (_scored_table) and differentiates that
+    one forward pass.
     """
     return _scored_table(model, params, params.as_dict(), x, S, schedule, seed)[0]
 
@@ -114,9 +128,16 @@ def build_weight_table(model, params, x, S, schedule, seed) -> WeightTable:
 def _scored_table(model, params, view, x, S, schedule, seed):
     """build_weight_table scoring through `view`: (table, U', log p, log q).
 
-    With a lifted view the three scores are Vars on its tape, so a training
-    step differentiates the very forward pass that produced its weights; the
-    table is bit-identical to build_weight_table's at the same seed.
+    The batch zs is drawn once for all items. A lifted view is scored as one
+    block on its tape, so a training step differentiates the very forward
+    pass that produced its weights, and the three scores are Vars. A
+    tape-free view is scored in blocks of max(1, BLOCK // S) items into one
+    log_w, and the three scores come back as None.
+
+    A table that fits one block (every training-size table) is bit-identical
+    to the taped one at the same seed. Larger tables agree per item to about
+    1e-16 relative: BLAS may round a row differently when the matrix it sits
+    in has a different number of rows.
     """
     if S < 1:
         raise DomainError(f"need at least one sample, got S={S}")
@@ -127,8 +148,15 @@ def _scored_table(model, params, view, x, S, schedule, seed):
         x = x[None, :]
     rng = rng_stream(seed, _STREAM_SAMPLES)
     zs = model.sample_q(params, x, S, rng)
-    u, lj, lq = _instantaneous_bound(model, view, x, zs)
-    log_w = value_of(u)
+    if any(isinstance(v, ad.Var) for v in view.values()):
+        u, lj, lq = _instantaneous_bound(model, view, x, zs)
+        log_w = value_of(u)
+    else:
+        log_w = np.empty((x.shape[0], S))
+        step = max(1, BLOCK // S)
+        for i in range(0, x.shape[0], step):
+            log_w[i:i + step] = _instantaneous_bound(model, view, x[i:i + step], zs[i:i + step])[0]
+        u = lj = lq = None
     if np.any(np.all(log_w == -np.inf, axis=1)):
         raise DegenerateWeightsError("all importance weights are zero for some observation")
     table = WeightTable(betas=betas, log_w=log_w, norm_w=tempered_columns(log_w, betas),
@@ -163,8 +191,7 @@ def expectation(table: WeightTable, beta_index, f_values):
         f = f[None, :]
     if f.shape != table.log_w.shape:
         raise ShapeError(f"f_values shape {f.shape} does not match table {table.log_w.shape}")
-    per_item = np.einsum("bs,bs->b", table.column(beta_index), f)
-    return table.squeeze(per_item)
+    return table.squeeze(table.expect(beta_index, f))
 
 
 @dataclass
@@ -223,7 +250,7 @@ def _covariance_surrogate(table, terms, f_var, lj, lq):
     for k, width in terms:
         wbar = table.column(k)
         beta = float(table.betas[k])
-        f_bar = np.einsum("bs,bs->b", wbar, f_det)[:, None]
+        f_bar = table.expect(k, f_det)[:, None]
         coeff = width * wbar * (f_det - f_bar)
         on_f = on_f + width * wbar
         on_lj = on_lj + beta * coeff
@@ -237,10 +264,7 @@ def _finish(per_item_surrogate, params, view, mask_prefixes=None):
     backward(total)
     grad = params.collect_grad(view)
     if mask_prefixes is not None:
-        keep = np.zeros(params.size, dtype=bool)
-        for prefix in mask_prefixes:
-            keep |= params.mask(prefix)
-        grad = np.where(keep, grad, 0.0)
+        params.zero_outside(grad, mask_prefixes)
     return grad
 
 
@@ -298,13 +322,15 @@ def independent_inner_gradient(model, params, f, table: WeightTable, beta_index)
     seed_b = int(rng_stream(table.seed, _STREAM_BASELINE, 0).integers(2 ** 31))
     seed_m = int(rng_stream(table.seed, _STREAM_BASELINE, 1).integers(2 ** 31))
     aux_b = build_weight_table(model, params, table.x, table.n_samples, table.betas, seed_b)
-    aux_m = build_weight_table(model, params, table.x, table.n_samples, table.betas, seed_m)
-    numeric = params.as_dict()
-    f_main = np.asarray(value_of(_f_values(model, numeric, table, f)))
-    f_aux = np.asarray(value_of(_f_values(model, numeric, aux_b, f)))
+    if f is None:
+        f_main, f_aux = table.log_w, aux_b.log_w
+    else:
+        numeric = params.as_dict()
+        f_main = np.asarray(value_of(f(numeric, table.x, table.zs)))
+        f_aux = np.asarray(value_of(f(numeric, aux_b.x, aux_b.zs)))
     wbar = table.column(beta_index)
-    baseline = np.einsum("bs,bs->b", aux_b.column(beta_index), f_aux)[:, None]
-    resid = np.einsum("bs,bs->b", wbar, f_main)[:, None] - baseline  # E^_A[f] - b per datum
+    baseline = aux_b.expect(beta_index, f_aux)[:, None]
+    resid = table.expect(beta_index, f_main)[:, None] - baseline  # E^_A[f] - b per datum
 
     tape = Tape()
     view = params.lift(tape)
@@ -314,10 +340,12 @@ def independent_inner_gradient(model, params, f, table: WeightTable, beta_index)
     score = ad.tsum(ad.mul(wbar * (f_main - baseline), _log_path(lj, lq, beta)), axis=1)
     grad = _finish(ad.add(direct, score), params, view)
 
-    # subtract (E^_A[f] - b) * E^_aux[grad log pi~], accumulated per datum
+    # subtract (E^_A[f] - b) * E^_aux[grad log pi~], accumulated per datum;
+    # the auxiliary batch is scored once, on its own tape
     tape_m = Tape()
     view_m = params.lift(tape_m)
-    _, lj_m, lq_m = _instantaneous_bound(model, view_m, aux_m.x, aux_m.zs)
+    aux_m, _, lj_m, lq_m = _scored_table(model, params, view_m, table.x, table.n_samples,
+                                         table.betas, seed_m)
     wbar_m = aux_m.column(beta_index)
     corr = _finish(ad.tsum(ad.mul(wbar_m * resid, _log_path(lj_m, lq_m, beta)), axis=1),
                    params, view_m)
@@ -337,13 +365,6 @@ def reinforce_baseline_gradient(model, params, x, f, table: WeightTable, beta_in
     _check_finite_grad(grad, params)
     return GradientEstimate(grad, "reinforce_baseline", table.n_samples,
                             table.betas.size - 1, table.seed)
-
-
-def _f_values(model, view, table, f):
-    if f is None:
-        u, _, _ = _instantaneous_bound(model, view, table.x, table.zs)
-        return u
-    return f(view, table.x, table.zs)
 
 
 def reparam_gradient(model, params, x, objective, S, seed) -> GradientEstimate:

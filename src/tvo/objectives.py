@@ -72,15 +72,12 @@ def _g_hat(table: WeightTable) -> np.ndarray:
     Computed column by column with the same contraction the endpoint
     estimators use, so the K = 1 reductions are bit-identical.
     """
-    cols = [np.einsum("bs,bs->b", table.norm_w[:, k, :], table.log_w)
-            for k in range(table.betas.size)]
-    return np.stack(cols, axis=1)
+    return np.stack([table.expect(k) for k in range(table.betas.size)], axis=1)
 
 
 def elbo_estimate(table: WeightTable):
     """Uniform average of U' over the proposal samples (the beta = 0 knot)."""
-    k = table.beta_index(0.0)
-    return table.squeeze(np.einsum("bs,bs->b", table.column(k), table.log_w))
+    return table.squeeze(table.expect(table.beta_index(0.0)))
 
 
 def eubo_estimate(table: WeightTable):
@@ -94,7 +91,7 @@ def eubo_estimate(table: WeightTable):
     if np.any(ess < 2.0):
         warnings.warn("effective sample size below 2 in the posterior-end column",
                       DegenerateWeightsWarning, stacklevel=2)
-    return table.squeeze(np.einsum("bs,bs->b", col, table.log_w))
+    return table.squeeze(table.expect(k))
 
 
 def _check_knots(table: WeightTable, schedule: PartitionSchedule):
@@ -186,10 +183,7 @@ def training_step(spec: ObjectiveSpec, model, params, x, seed, crn=True):
             table = build_weight_table(model, params, x, spec.S, np.array([0.0, 1.0]), seed)
             value = float(np.mean(iwae_estimate(table.log_w)))
             est = reparam_gradient(model, params, x, "iwae", spec.S, seed)
-            keep = np.zeros(params.size, dtype=bool)
-            for prefix in prefixes:
-                keep |= params.mask(prefix)
-            grad = np.where(keep, est.vector, 0.0)
+            grad = params.zero_outside(est.vector, prefixes)
             return value, GradientEstimate(grad, "reparam", spec.S, 1, int(seed))
         value, grad = _iwae_gradient(model, params, x, spec.S, seed, prefixes)
         return value, GradientEstimate(grad, "covariance", spec.S, 1, int(seed))
@@ -221,10 +215,7 @@ def _training_step_no_reuse(spec, model, params, x, seed, prefixes):
         fresh_seed = int(rng_stream(seed, _STREAM_FRESH, i).integers(2 ** 31))
         table = build_weight_table(model, params, x, spec.S, spec.schedule.betas, fresh_seed)
         total += width * independent_inner_gradient(model, params, None, table, k)
-    keep = np.zeros(params.size, dtype=bool)
-    for prefix in prefixes:
-        keep |= params.mask(prefix)
-    grad = np.where(keep, total, 0.0)
+    grad = params.zero_outside(total, prefixes)
     estimate = GradientEstimate(grad, "covariance", spec.S, spec.schedule.K, int(seed))
     return value, estimate
 

@@ -138,7 +138,7 @@ def integrand_curve(model, params, x, betas, S, seed) -> IntegrandCurve:
     u = table.log_w  # U'(z_s) equals the log importance weight
     # same per-column contraction and reduction as the endpoint estimators,
     # so grid endpoints reproduce the ELBO/EUBO estimates bit for bit
-    cols = [np.einsum("bs,bs->b", table.norm_w[:, k, :], u) for k in range(betas.size)]
+    cols = [table.expect(k) for k in range(betas.size)]
     values = np.array([np.mean(col) for col in cols])
     g = np.stack(cols, axis=1)
     centered = u[:, None, :] - g[:, :, None]

@@ -298,6 +298,25 @@ def test_param_vector_segments_disjoint_and_cover():
     assert pv.segment_of_index(7) == "phi/b"
 
 
+def test_param_vector_lift_shares_read_only_segments():
+    pv = ad.ParamVector.build({"theta/w": np.arange(6.0).reshape(2, 3), "phi/b": np.ones(2)})
+    view = pv.lift(ad.Tape())
+    assert np.shares_memory(view["theta/w"].value, pv.vector)
+    with pytest.raises(ValueError):
+        view["theta/w"].value[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        view["phi/b"].value += 1.0
+    np.testing.assert_array_equal(pv.vector, np.r_[np.arange(6.0), np.ones(2)])
+
+
+def test_param_vector_zero_outside_keeps_only_prefixed_segments():
+    pv = ad.ParamVector.build({"theta/w": np.zeros((2, 3)), "phi/b": np.zeros(2),
+                               "theta/c": np.zeros(1)})
+    grad = np.arange(1.0, 10.0)
+    assert pv.zero_outside(grad, ("phi/",)) is grad
+    np.testing.assert_array_equal(grad, np.where(pv.mask("phi/"), np.arange(1.0, 10.0), 0.0))
+
+
 def test_param_vector_duplicate_names_rejected():
     with pytest.raises(ShapeError):
         ad.ParamVector(["a", "a"], [(1,), (1,)], np.zeros(2))

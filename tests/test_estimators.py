@@ -9,8 +9,8 @@ from tvo import estimators as est
 from tvo import oracles
 from tvo.errors import (DegenerateWeightsError, DomainError, ShapeError,
                         UnsupportedEstimatorError)
-from tvo.models import (ConjugateGaussian, GaussianVAE, ToyBernoulli,
-                        random_conjugate_gaussian, random_toy)
+from tvo.models import (ConjugateGaussian, GaussianVAE, SigmoidBeliefNet,
+                        ToyBernoulli, random_conjugate_gaussian, random_toy)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -66,6 +66,76 @@ def test_weight_table_requires_positive_sample_count():
     model, params, x = toy_setup()
     with pytest.raises(DomainError):
         est.build_weight_table(model, params, x, 0, np.array([0.0, 1.0]), 0)
+
+
+# blocked scoring of tape-free tables ------------------------------------------
+
+# S = 400 puts two items in each block of est.BLOCK samples, so 6 items span
+# three blocks; every block has an even number of rows, as GEMM edge rows and
+# 1-row GEMV products can round differently from the interior of a batch
+BLOCKED_S = 400
+
+
+def _binary_items(n, d_x, seed=0):
+    return (np.random.default_rng(seed).random((n, d_x)) < 0.5).astype(np.float64)
+
+
+@pytest.mark.parametrize("model,rtol", [
+    (SigmoidBeliefNet(d_x=16, d_z=5), 0.0),
+    (SigmoidBeliefNet(d_x=16, d_z=5, nonlinear=True), 1e-15),
+    (GaussianVAE(d_x=16, d_z=3), 1e-15),
+], ids=["linear-sbn", "nonlinear-sbn", "vae"])
+def test_blocked_table_matches_one_block_reference(model, rtol):
+    params = model.init_params(3)
+    x = _binary_items(6, 16)
+    assert est.BLOCK // BLOCKED_S < x.shape[0]
+    got = est.build_weight_table(model, params, x, BLOCKED_S, np.array([0.0, 0.4, 1.0]), 9)
+    # the whole batch scored at once is the reference
+    want = ad.value_of(est._instantaneous_bound(model, params.as_dict(), x, got.zs)[0])
+    if rtol == 0.0:
+        np.testing.assert_array_equal(got.log_w, want)
+    else:
+        np.testing.assert_allclose(got.log_w, want, rtol=rtol, atol=0.0)
+
+
+def test_blocked_table_draws_the_batch_once(monkeypatch):
+    model = SigmoidBeliefNet(d_x=16, d_z=5)
+    params = model.init_params(3)
+    calls = []
+    sample_q = model.sample_q
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sample_q(*args, **kwargs)
+
+    monkeypatch.setattr(model, "sample_q", counted)
+    est.build_weight_table(model, params, _binary_items(6, 16), BLOCKED_S, [0.0, 1.0], 9)
+    assert len(calls) == 1
+
+
+def test_blocked_evaluate_matches_table_estimates():
+    from tvo.objectives import elbo_estimate, iwae_estimate
+    from tvo.trainer import evaluate
+
+    model = SigmoidBeliefNet(d_x=16, d_z=5, nonlinear=True)
+    params = model.init_params(4)
+    x = _binary_items(6, 16, seed=1)
+    table = est.build_weight_table(model, params, x, BLOCKED_S, np.array([0.0, 1.0]), 21)
+    iwae, elbo = evaluate(model, params, x, BLOCKED_S, 21)
+    assert iwae == float(np.mean(iwae_estimate(table.log_w)))
+    assert elbo == float(np.mean(elbo_estimate(table)))
+
+
+def test_blocked_curve_starts_at_the_evaluate_elbo():
+    from tvo.path import integrand_curve
+    from tvo.trainer import evaluate
+
+    model = GaussianVAE(d_x=16, d_z=3)
+    params = model.init_params(5)
+    x = _binary_items(6, 16, seed=2)
+    _, elbo = evaluate(model, params, x, BLOCKED_S, 8)
+    curve = integrand_curve(model, params, x, np.linspace(0.0, 1.0, 5), BLOCKED_S, 8)
+    assert curve.values[0] == elbo
 
 
 def test_column_sums_and_nonnegativity():

@@ -301,6 +301,35 @@ def test_crn_training_step_scores_only_on_the_tape(monkeypatch, case, kind):
     assert value == float(np.mean(np.asarray(want)))
 
 
+@pytest.mark.parametrize("case", ["sbn", "toy"])
+def test_no_crn_training_step_scores_each_batch_once(monkeypatch, case):
+    # one value batch, then per Riemann term its own batch and the baseline
+    # batch scored numerically; the term batch and the auxiliary batch of the
+    # score correction are scored on tapes only
+    model, params, x = _single_pass_case(case)
+    spec = obj.ObjectiveSpec("tvo_lower", make_schedule(3, 0.1, "log"), S=8)
+    n_terms = len(obj._riemann_terms(spec))
+    calls = {"numeric": 0, "taped": 0}
+    log_joint = model.log_joint
+
+    def counted(view, x, z):
+        calls["taped" if any(isinstance(v, ad.Var) for v in view.values()) else "numeric"] += 1
+        return log_joint(view, x, z)
+
+    monkeypatch.setattr(model, "log_joint", counted)
+    obj.training_step(spec, model, params, x, seed=11, crn=False)
+    assert calls == {"numeric": 1 + 2 * n_terms, "taped": 2 * n_terms}
+
+
+@pytest.mark.parametrize("crn", [True, False])
+def test_training_step_leaves_the_parameter_vector_unchanged(crn):
+    model, params, x = _single_pass_case("sbn")
+    before = params.vector.copy()
+    spec = obj.ObjectiveSpec("tvo_lower", make_schedule(3, 0.1, "log"), S=8)
+    obj.training_step(spec, model, params, x, seed=11, crn=crn)
+    np.testing.assert_array_equal(params.vector, before)
+
+
 @pytest.mark.parametrize("kind", ["tvo_lower", "tvo_upper"])
 def test_crn_training_gradient_sums_the_term_gradients(kind):
     from tvo.estimators import covariance_gradient
