@@ -26,7 +26,6 @@ _STREAM_SAMPLES = 101
 _STREAM_BASELINE = 103
 _STREAM_FRESH = 107
 _STREAM_SIMULATE = 109
-_STREAM_REPARAM = 113
 
 # samples per item block when a tape-free table is scored: the (items, S, d)
 # temporaries of one block stay cache-sized instead of streaming through DRAM
@@ -371,14 +370,17 @@ def reparam_gradient(model, params, x, objective, S, seed) -> GradientEstimate:
     """Pathwise gradient through z = mean + std * eps for location-scale q.
 
     objective: "elbo" (mean of U' over samples) or "iwae" (log mean weight).
-    eps ~ N(0, I) has shape (B, S) + model.latent_shape.
+    eps ~ N(0, I) has shape (B, S) + model.latent_shape and comes from the
+    proposal stream, the very draw sample_q makes: z, and the taped U' values
+    returned in meta["log_w"], are bit-identical to build_weight_table's at
+    the same seed, so a training step takes its value from this one pass.
     """
     if getattr(model, "latent", "discrete") != "continuous" or not hasattr(model, "reparam_sample"):
         raise UnsupportedEstimatorError("reparameterization requires a location-scale continuous q")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    eps = rng_stream(seed, _STREAM_REPARAM).normal(size=(x.shape[0], S) + tuple(model.latent_shape))
+    eps = rng_stream(seed, _STREAM_SAMPLES).normal(size=(x.shape[0], S) + tuple(model.latent_shape))
     tape = Tape()
     view = params.lift(tape)
     z = model.reparam_sample(view, x, eps)
@@ -391,7 +393,7 @@ def reparam_gradient(model, params, x, objective, S, seed) -> GradientEstimate:
         raise DomainError(f"unknown reparameterization objective {objective!r}")
     grad = _finish(per_item, params, view)
     _check_finite_grad(grad, params)
-    return GradientEstimate(grad, "reparam", S, 1, int(seed))
+    return GradientEstimate(grad, "reparam", S, 1, int(seed), meta={"log_w": value_of(u)})
 
 
 def exact_enumeration_gradient(model, params, x, beta, f=None) -> GradientEstimate:

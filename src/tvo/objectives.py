@@ -166,9 +166,11 @@ def training_step(spec: ObjectiveSpec, model, params, x, seed, crn=True):
     each term is differentiated with the covariance estimator. With common
     random numbers (default) one sample batch and one taped forward pass
     serve every term: the weight table, and so the value, comes from the
-    taped scores, bit-identical to build_weight_table at the same seed.
-    Without, each knot draws its own batch. Model-simulated mode replaces x
-    by ancestral draws from the generative model and freezes theta.
+    taped scores, bit-identical to build_weight_table at the same seed. The
+    IWAE step of a reparameterizable model likewise takes its value from the
+    pathwise pass's own batch. Without, each knot draws its own batch.
+    Model-simulated mode replaces x by ancestral draws from the generative
+    model and freezes theta.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -180,9 +182,9 @@ def training_step(spec: ObjectiveSpec, model, params, x, seed, crn=True):
 
     if spec.kind == "iwae":
         if getattr(model, "latent", "") == "continuous" and hasattr(model, "reparam_sample"):
-            table = build_weight_table(model, params, x, spec.S, np.array([0.0, 1.0]), seed)
-            value = float(np.mean(iwae_estimate(table.log_w)))
+            # the pathwise pass scores build_weight_table's batch on its tape
             est = reparam_gradient(model, params, x, "iwae", spec.S, seed)
+            value = float(np.mean(iwae_estimate(est.meta["log_w"])))
             grad = params.zero_outside(est.vector, prefixes)
             return value, GradientEstimate(grad, "reparam", spec.S, 1, int(seed))
         value, grad = _iwae_gradient(model, params, x, spec.S, seed, prefixes)

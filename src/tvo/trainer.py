@@ -54,6 +54,12 @@ def adam_step(state: AdamState, params: ParamVector, gradient, maximize=False) -
 
     A non-finite gradient aborts the step: the event is counted and the
     parameters come back unchanged.
+
+    m and v are updated in place and one scratch array holds the other
+    temporaries; the operations run in the order of the textbook form
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+    x - lr m_hat / (sqrt(v_hat) + eps), so every update is bit-identical to
+    it. Ascent scales g by -(1 - b1), exactly -((1 - b1) g); v is even in g.
     """
     gradient = np.asarray(gradient, dtype=np.float64)
     if gradient.shape != params.vector.shape:
@@ -61,13 +67,22 @@ def adam_step(state: AdamState, params: ParamVector, gradient, maximize=False) -
     if not np.all(np.isfinite(gradient)):
         state.skipped += 1
         return params
-    g = -gradient if maximize else gradient
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    return params.with_vector(params.vector - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+    m, v = state.m, state.v
+    scratch = np.multiply(gradient, -(1.0 - state.beta1) if maximize else 1.0 - state.beta1)
+    m *= state.beta1
+    m += scratch
+    np.multiply(gradient, 1.0 - state.beta2, out=scratch)
+    scratch *= gradient
+    v *= state.beta2
+    v += scratch
+    np.divide(v, 1.0 - state.beta2 ** state.step, out=scratch)  # v_hat
+    np.sqrt(scratch, out=scratch)
+    scratch += state.eps
+    out = np.divide(m, 1.0 - state.beta1 ** state.step)  # m_hat
+    out *= state.lr
+    out /= scratch
+    return params.with_vector(np.subtract(params.vector, out, out=out))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +349,8 @@ class TrainResult:
 
 def evaluate(model, params, items, S_eval, seed):
     """(mean IWAE log-evidence, mean ELBO) over a fixed eval subset."""
-    table = build_weight_table(model, params, items, S_eval, np.array([0.0, 1.0]), seed)
+    # the ELBO reads only the uniform beta = 0 column and the IWAE only log_w
+    table = build_weight_table(model, params, items, S_eval, np.array([0.0]), seed)
     iwae = float(np.mean(np.asarray(iwae_estimate(table.log_w))))
     elbo = float(np.mean(np.asarray(elbo_estimate(table))))
     return iwae, elbo

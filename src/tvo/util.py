@@ -48,10 +48,19 @@ def log_softmax(v, axis=-1):
 
 def sigmoid(v):
     """1 / (1 + exp(-v)) from e = exp(-|v|): 1 / (1 + e) for v >= 0, else
-    e / (1 + e), so neither tail overflows."""
+    e / (1 + e), so neither tail overflows.
+
+    The numerator is max(e, v >= 0), exact because e <= 1 (nan stays nan).
+    np.where is not branch-free in numpy: on random-sign input it costs
+    about five times an elementwise maximum. e and the result share one
+    buffer; 0-d input gives a scalar.
+    """
     v = np.asarray(v, dtype=np.float64)
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(v, out=np.empty_like(v))
+    np.exp(np.negative(e, out=e), out=e)
+    den = np.add(e, 1.0, out=np.empty_like(e))
+    np.maximum(e, v >= 0, out=e)
+    return np.divide(e, den, out=e)[()]
 
 
 def log_sigmoid(v):

@@ -113,17 +113,30 @@ def test_blocked_table_draws_the_batch_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_blocked_evaluate_matches_table_estimates():
+def test_blocked_evaluate_matches_table_estimates(monkeypatch):
+    # evaluate tempers only the beta = 0 knot, yet returns exactly the
+    # estimates of a [0, 1] table
     from tvo.objectives import elbo_estimate, iwae_estimate
     from tvo.trainer import evaluate
 
-    model = SigmoidBeliefNet(d_x=16, d_z=5, nonlinear=True)
-    params = model.init_params(4)
+    knots = []
+    tempered_columns = est.tempered_columns
+
+    def recorded(log_w, betas):
+        knots.append(list(betas))
+        return tempered_columns(log_w, betas)
+
     x = _binary_items(6, 16, seed=1)
-    table = est.build_weight_table(model, params, x, BLOCKED_S, np.array([0.0, 1.0]), 21)
-    iwae, elbo = evaluate(model, params, x, BLOCKED_S, 21)
-    assert iwae == float(np.mean(iwae_estimate(table.log_w)))
-    assert elbo == float(np.mean(elbo_estimate(table)))
+    for model in (SigmoidBeliefNet(d_x=16, d_z=5, nonlinear=True), GaussianVAE(d_x=16, d_z=3)):
+        params = model.init_params(4)
+        table = est.build_weight_table(model, params, x, BLOCKED_S, np.array([0.0, 1.0]), 21)
+        knots.clear()
+        monkeypatch.setattr(est, "tempered_columns", recorded)
+        iwae, elbo = evaluate(model, params, x, BLOCKED_S, 21)
+        monkeypatch.undo()
+        assert knots == [[0.0]]
+        assert iwae == float(np.mean(iwae_estimate(table.log_w)))
+        assert elbo == float(np.mean(elbo_estimate(table)))
 
 
 def test_blocked_curve_starts_at_the_evaluate_elbo():
@@ -386,8 +399,8 @@ def test_reparam_matches_frozen_noise_finite_differences():
     grad = est.reparam_gradient(model, params, x, "elbo", S=4, seed=seed).vector
 
     from tvo.util import rng_stream
-    rng = rng_stream(seed, est._STREAM_REPARAM)
-    eps = rng.normal(size=model.sample_q(params, x, 4, rng_stream(seed, est._STREAM_REPARAM + 1)).shape)
+    rng = rng_stream(seed, est._STREAM_SAMPLES)
+    eps = rng.normal(size=model.sample_q(params, x, 4, rng_stream(seed, est._STREAM_SAMPLES + 1)).shape)
 
     def objective(vec):
         pv = params.with_vector(vec)
@@ -412,6 +425,29 @@ def test_reparam_draws_noise_without_sampling_q(monkeypatch, model):
 
     monkeypatch.setattr(model, "sample_q", no_sampling)
     assert est.reparam_gradient(model, params, x, "iwae", S=4, seed=31).vector.shape == (params.size,)
+
+
+@pytest.mark.parametrize("model", [GaussianVAE(d_x=6, d_z=3), ConjugateGaussian()],
+                         ids=["vae", "conjugate"])
+def test_reparam_scores_the_weight_table_batch(monkeypatch, model):
+    # the pathwise pass draws build_weight_table's batch: the same z and the
+    # same U' bit for bit, so a training step needs no second batch
+    params = model.init_params(9)
+    x = np.ones((2, 6)) if isinstance(model, GaussianVAE) else np.array([[0.4], [-0.2]])
+    table = est.build_weight_table(model, params, x, 4, np.array([0.0, 1.0]), 31)
+    zs = []
+    reparam_sample = model.reparam_sample
+
+    def recorded(view, x, eps):
+        z = reparam_sample(view, x, eps)
+        zs.append(ad.value_of(z))
+        return z
+
+    monkeypatch.setattr(model, "reparam_sample", recorded)
+    grad = est.reparam_gradient(model, params, x, "iwae", S=4, seed=31)
+    assert len(zs) == 1
+    np.testing.assert_array_equal(zs[0], table.zs)
+    np.testing.assert_array_equal(grad.meta["log_w"], table.log_w)
 
 
 def test_reparam_rejected_for_discrete_latents():

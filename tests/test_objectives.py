@@ -7,8 +7,8 @@ from tvo import objectives as obj
 from tvo import oracles
 from tvo.errors import ConfigError, DegenerateWeightsWarning, ShapeError
 from tvo.estimators import build_weight_table, exact_weight_table
-from tvo.models import (ConjugateGaussian, SigmoidBeliefNet, random_conjugate_gaussian,
-                        random_toy)
+from tvo.models import (ConjugateGaussian, GaussianVAE, SigmoidBeliefNet,
+                        random_conjugate_gaussian, random_toy)
 from tvo.path import make_schedule
 
 
@@ -279,12 +279,17 @@ def _single_pass_case(name):
     if name == "toy":
         model, params = random_toy(23, m=2, d_x=2)
         return model, params, np.array([[1.0, 0.0], [0.0, 0.0]])
+    if name == "vae":
+        model = GaussianVAE(d_x=8, d_z=3)
+        x = (np.random.default_rng(2).random((3, 8)) < 0.5).astype(np.float64)
+        return model, model.init_params(4), x
     model, params, x = random_conjugate_gaussian(5)
     return model, params, np.array([[x], [x + 0.5]])
 
 
 @pytest.mark.parametrize("case,kind", [("sbn", "tvo_lower"), ("sbn", "iwae"),
-                                       ("toy", "tvo_upper"), ("gaussian", "elbo")])
+                                       ("toy", "tvo_upper"), ("gaussian", "elbo"),
+                                       ("gaussian", "iwae"), ("vae", "iwae")])
 def test_crn_training_step_scores_only_on_the_tape(monkeypatch, case, kind):
     model, params, x = _single_pass_case(case)
     spec = obj.ObjectiveSpec(kind, make_schedule(3, 0.1, "log"), S=8)

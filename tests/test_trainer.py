@@ -54,6 +54,60 @@ def test_adam_aborts_step_on_nonfinite_gradient():
     assert state.skipped == 1 and state.step == 0
 
 
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+def test_adam_matches_the_closed_form_bit_for_bit(maximize):
+    rng = np.random.default_rng(8)
+    n = 64
+    params = ParamVector.build({"a": rng.normal(size=n)})
+    state = tr.AdamState.for_params(params, lr=0.01)
+    b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+    m, v, x = np.zeros(n), np.zeros(n), params.vector.copy()
+    for t in range(1, 21):
+        grad = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 3, size=n)
+        grad[:2] = (0.0, -0.0)
+        params = tr.adam_step(state, params, grad, maximize=maximize)
+        g = -grad if maximize else grad
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        x = x - lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.testing.assert_array_equal(_bits(state.m), _bits(m))
+        np.testing.assert_array_equal(_bits(state.v), _bits(v))
+        np.testing.assert_array_equal(_bits(params.vector), _bits(x))
+        assert state.step == t
+
+
+def test_adam_leaves_the_input_vector_and_gradient_unchanged():
+    rng = np.random.default_rng(9)
+    params = ParamVector.build({"a": rng.normal(size=10)})
+    state = tr.AdamState.for_params(params, lr=0.1)
+    grad = rng.normal(size=10)
+    vec0, grad0 = params.vector.copy(), grad.copy()
+    for maximize in (False, True):
+        out = tr.adam_step(state, params, grad, maximize=maximize)
+        assert out.vector is not params.vector
+        np.testing.assert_array_equal(params.vector, vec0)
+        np.testing.assert_array_equal(grad, grad0)
+
+
+def test_adam_skipped_step_leaves_the_moments_untouched():
+    params = ParamVector.build({"a": np.array([1.0, -1.0])})
+    state = tr.AdamState.for_params(params, lr=0.1)
+    params = tr.adam_step(state, params, np.array([0.5, -2.0]))
+    m, v = state.m.copy(), state.v.copy()
+    for bad in (np.array([np.nan, 1.0]), np.array([1.0, np.inf]), np.array([-np.inf, 0.0])):
+        out = tr.adam_step(state, params, bad)
+        assert out is params
+    np.testing.assert_array_equal(_bits(state.m), _bits(m))
+    np.testing.assert_array_equal(_bits(state.v), _bits(v))
+    assert state.step == 1 and state.skipped == 3
+
+
 # IDX loading -------------------------------------------------------------------
 
 

@@ -40,6 +40,32 @@ def test_sigmoid_tails_do_not_overflow():
     np.testing.assert_array_equal(out[[0, 2, 4, 5, 6]], [0.0, 0.5, 1.0, 0.0, 1.0])
 
 
+def _where_sigmoid(v):
+    # the np.where formulation util.sigmoid must reproduce bit for bit
+    v = np.asarray(v, dtype=np.float64)
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+
+
+@pytest.mark.parametrize("v", [
+    np.random.default_rng(3).uniform(-1e3, 1e3, size=(4, 5, 6)),
+    np.random.default_rng(4).normal(size=200) * 5.0,
+    np.array(0.7), np.array(-2.5), -0.0,
+    np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, -1e-310, 745.0, -745.0]),
+], ids=["uniform-1e3", "normal", "0d-pos", "0d-neg", "neg-zero-scalar", "specials"])
+def test_sigmoid_is_bit_identical_to_the_where_form(v):
+    got, want = util.sigmoid(v), _where_sigmoid(v)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    np.testing.assert_array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
+def test_sigmoid_leaves_its_input_unchanged():
+    v = np.random.default_rng(5).normal(size=50)
+    before = v.copy()
+    util.sigmoid(v)
+    np.testing.assert_array_equal(v, before)
+
+
 def test_effective_sample_size_bounds():
     uniform = np.full(8, 1.0 / 8)
     assert util.effective_sample_size(uniform) == pytest.approx(8.0)
