@@ -12,18 +12,25 @@ written once and runs in both modes.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import util
 from .errors import DomainError, NumericalError, ShapeError, UsageError
 
 __all__ = [
-    "Tape", "Var", "backward", "add", "sub", "mul", "div", "neg", "matmul",
-    "tsum", "tmean", "exp", "log", "sigmoid", "tanh", "log_sigmoid",
+    "TILE", "Tape", "Var", "backward", "add", "sub", "mul", "div", "neg", "matmul",
+    "affine", "tsum", "tmean", "exp", "log", "sigmoid", "tanh", "log_sigmoid",
     "bernoulli_logpmf", "logsumexp", "log_softmax", "gather", "reshape", "detach", "value_of",
     "ParamVector", "finite_difference_gradient", "value_and_grad",
     "random_check_network",
 ]
+
+# Elements per tile of a large elementwise kernel: 512 KB of float64, so the
+# few temporaries of one tile stay in cache instead of streaming through
+# memory once per pass.
+TILE = 1 << 16
 
 
 class Tape:
@@ -293,6 +300,40 @@ def matmul(a, b):
     return _record(tape, out, tuple(parents), vjp, "matmul")
 
 
+def affine(x, w, b):
+    """x @ w + b for a 2-d x, 2-d w and bias row b: one dense layer, one node.
+
+    The bias is added in place to the fresh product, so the value is bit for
+    bit that of add(matmul(x, w), b) without a second (n, d_out) array, and
+    the vjp (g @ w.T, x.T @ g, g summed over rows) gives the same gradients.
+    """
+    tape = _tape_of(x, w, b)
+    xv, wv, bv = value_of(x), value_of(w), value_of(b)
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:
+        raise ShapeError(f"affine: incompatible shapes {xv.shape} @ {wv.shape} + {bv.shape}")
+    out = xv @ wv
+    out += bv
+    if tape is None:
+        return out
+    parents, kinds = [], []
+    for parent, kind in ((x, "x"), (w, "w"), (b, "b")):
+        if isinstance(parent, Var):
+            parents.append(parent), kinds.append(kind)
+
+    def vjp(g):
+        grads = []
+        for kind in kinds:
+            if kind == "x":
+                grads.append(g @ wv.T)
+            elif kind == "w":
+                grads.append(xv.T @ g)
+            else:
+                grads.append(g.sum(axis=0))
+        return grads
+
+    return _record(tape, out, tuple(parents), vjp, "affine")
+
+
 def tsum(a, axis=None, keepdims=False):
     tape = _tape_of(a)
     av = value_of(a)
@@ -370,19 +411,25 @@ def bernoulli_logpmf(y, logits):
     the stable form max(s, 0) + log1p(exp(-|s|)). y is constant data; logits
     may broadcast against it (a shared prior row, one encoder row per datum).
     The vjp is g * (y - sigmoid(t)), reduced back to the logits' shape.
+
+    A tape-free call of more than TILE elements runs in tiles of whole rows
+    (one row per leading index), at most TILE elements each unless one row
+    is longer, into one preallocated output; a taped call, or one of at
+    most TILE elements, is one tile. Each element sees the same operations
+    and each row is summed on its own, so tiling changes no bit of the value.
     """
     if isinstance(y, Var):
         raise UsageError("bernoulli_logpmf: y must be constant observations, not a Var")
     tape = _tape_of(logits)
     yv, tv = _as_array(y), value_of(logits)
-    s = (1.0 - 2.0 * yv) * tv  # log-odds against the observed value
-    tail = np.abs(s)
-    np.negative(tail, out=tail)
-    np.exp(tail, out=tail)
-    np.log1p(tail, out=tail)
-    np.maximum(s, 0.0, out=s)
-    s += tail
-    out = -np.sum(s, axis=-1)
+    sign = 1.0 - 2.0 * yv  # turns t into the log-odds against the observed value
+    if tape is None:
+        shape = np.broadcast(sign, tv).shape
+        if math.prod(shape) > TILE:
+            out = np.empty(shape[:-1])
+            _bernoulli_tiles(np.broadcast_to(sign, shape), np.broadcast_to(tv, shape), out)
+            return out
+    out = _bernoulli_rows(sign, tv)
     if tape is None:
         return out
 
@@ -390,6 +437,33 @@ def bernoulli_logpmf(y, logits):
         return [_unbroadcast(np.asarray(g)[..., None] * (yv - util.sigmoid(tv)), tv.shape)]
 
     return _record(tape, np.asarray(out), (logits,), vjp, "bernoulli_logpmf")
+
+
+def _bernoulli_rows(sign, t, out=None):
+    """-sum(max(s, 0) + log1p(exp(-|s|)), axis=-1) with s = sign * t, into
+    `out` when given."""
+    s = sign * t
+    tail = np.abs(s)
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    np.maximum(s, 0.0, out=s)
+    s += tail
+    return np.negative(np.sum(s, axis=-1, out=out), out=out)
+
+
+def _bernoulli_tiles(sign, t, out):
+    """_bernoulli_rows over the first axis in slices of at most TILE elements;
+    an index of the first axis that alone holds more is split along the next."""
+    step = TILE // sign[0].size if out.ndim else 0
+    if step:
+        for lo in range(0, out.shape[0], step):
+            _bernoulli_rows(sign[lo:lo + step], t[lo:lo + step], out[lo:lo + step])
+    elif out.ndim > 0:
+        for i in range(out.shape[0]):
+            _bernoulli_tiles(sign[i], t[i], out[i, ...])
+    else:
+        _bernoulli_rows(sign, t, out)
 
 
 def logsumexp(a, axis=None, keepdims=False):
@@ -619,8 +693,8 @@ def random_check_network(seed: int):
     bits = (rng.random(size=(2, n_rows, 2)) < 0.5).astype(np.float64)  # broadcasts over logits
 
     def fn(view):
-        h1 = tanh(add(matmul(x0, view["w1"]), view["b1"]))
-        h2 = sigmoid(sub(matmul(h1, view["w2"]), view["b2"]))
+        h1 = tanh(affine(x0, view["w1"], view["b1"]))
+        h2 = sigmoid(affine(h1, view["w2"], view["b2"]))
         safe = log(add(h2, 1.5))
         grown = exp(mul(safe, view["scale"]))
         denom = add(1.5, sigmoid(tsum(grown, axis=1, keepdims=True)))

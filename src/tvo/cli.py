@@ -163,6 +163,10 @@ def cmd_sweep(args) -> int:
     if config.out and args.format == "jsonl":
         from .trainer import SWEEP_COLUMNS
         write_jsonl(os.path.join(config.out, "sweep.jsonl"), SWEEP_COLUMNS, rows)
+    failed = sum(row[5].startswith("error") for row in rows)
+    if failed:
+        print(f"{failed} of {len(rows)} sweep cells failed", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -428,11 +428,11 @@ class SigmoidBeliefNet(LatentModel):
         shape = value_of(inp).shape
         flat = ad.reshape(inp, (-1, shape[-1])) if len(shape) != 2 else inp
         if self.nonlinear:
-            h = ad.tanh(ad.add(ad.matmul(flat, view[prefix + ".w1"]), view[prefix + ".b1"]))
-            h = ad.tanh(ad.add(ad.matmul(h, view[prefix + ".w2"]), view[prefix + ".b2"]))
-            out = ad.add(ad.matmul(h, view[prefix + ".w3"]), view[prefix + ".b3"])
+            h = ad.tanh(ad.affine(flat, view[prefix + ".w1"], view[prefix + ".b1"]))
+            h = ad.tanh(ad.affine(h, view[prefix + ".w2"], view[prefix + ".b2"]))
+            out = ad.affine(h, view[prefix + ".w3"], view[prefix + ".b3"])
         else:
-            out = ad.add(ad.matmul(flat, view[prefix + ".w"]), view[prefix + ".b"])
+            out = ad.affine(flat, view[prefix + ".w"], view[prefix + ".b"])
         if len(shape) != 2:
             out = ad.reshape(out, shape[:-1] + (value_of(out).shape[-1],))
         return out
@@ -533,17 +533,17 @@ class GaussianVAE(LatentModel):
     def decoder_logits(self, view, z):
         B, S, _ = value_of(z).shape
         flat = ad.reshape(z, (B * S, self.d_z))
-        h = ad.tanh(ad.add(ad.matmul(flat, view["theta/dec1.w"]), view["theta/dec1.b"]))
-        h = ad.tanh(ad.add(ad.matmul(h, view["theta/dec2.w"]), view["theta/dec2.b"]))
-        out = ad.add(ad.matmul(h, view["theta/dec3.w"]), view["theta/dec3.b"])
+        h = ad.tanh(ad.affine(flat, view["theta/dec1.w"], view["theta/dec1.b"]))
+        h = ad.tanh(ad.affine(h, view["theta/dec2.w"], view["theta/dec2.b"]))
+        out = ad.affine(h, view["theta/dec3.w"], view["theta/dec3.b"])
         return ad.reshape(out, (B, S, self.d_x))
 
     def q_mean_log_std(self, view, x):
         x = _check_binary(x)
-        h = ad.tanh(ad.add(ad.matmul(x, view["phi/enc1.w"]), view["phi/enc1.b"]))
-        h = ad.tanh(ad.add(ad.matmul(h, view["phi/enc2.w"]), view["phi/enc2.b"]))
-        mean = ad.add(ad.matmul(h, view["phi/mean.w"]), view["phi/mean.b"])
-        log_std = ad.add(ad.matmul(h, view["phi/logstd.w"]), view["phi/logstd.b"])
+        h = ad.tanh(ad.affine(x, view["phi/enc1.w"], view["phi/enc1.b"]))
+        h = ad.tanh(ad.affine(h, view["phi/enc2.w"], view["phi/enc2.b"]))
+        mean = ad.affine(h, view["phi/mean.w"], view["phi/mean.b"])
+        log_std = ad.affine(h, view["phi/logstd.w"], view["phi/logstd.b"])
         return mean, log_std
 
     def log_joint(self, view, x, z):

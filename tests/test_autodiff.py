@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,12 @@ def _primitive_cases():
         ("bernoulli_logpmf_row", coins, {"t": rng.normal(size=3) * 2}),
         ("bernoulli_logpmf_per_item", coins, {"t": rng.normal(size=(2, 1, 3)) * 2}),
     ]
+    cases += [
+        ("affine", lambda p: ad.tsum(ad.tanh(ad.affine(m23, p["w"], p["b"]))),
+         {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}),
+        ("affine_taped_x", lambda p: ad.tsum(ad.tanh(ad.affine(p["x"], p["w"], p["b"]))),
+         {"x": rng.normal(size=(4, 3)), "w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}),
+    ]
     return cases
 
 
@@ -186,6 +194,98 @@ def test_bernoulli_logpmf_matches_log_sigmoid_composition():
     ref_value, ref_grad = ad.value_and_grad(composed, params)
     assert fused_value == ref_value
     np.testing.assert_allclose(fused_grad, ref_grad, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("x_taped", [False, True])
+def test_affine_is_bit_equal_to_matmul_then_add(x_taped):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(7, 5))
+    params = ad.ParamVector.build({"x": x, "w": rng.normal(size=(5, 3)), "b": rng.normal(size=3)})
+    weights = rng.normal(size=(7, 3))
+
+    def through(layer):
+        def fn(view):
+            inp = view["x"] if x_taped else x
+            return ad.tsum(ad.mul(ad.tanh(layer(inp, view["w"], view["b"])), weights))
+        return fn
+
+    fused_value, fused_grad = ad.value_and_grad(through(ad.affine), params)
+    ref_value, ref_grad = ad.value_and_grad(through(lambda a, w, b: ad.add(ad.matmul(a, w), b)), params)
+    assert fused_value == ref_value
+    assert fused_grad.tobytes() == ref_grad.tobytes()
+    w, b = params.get("w"), params.get("b")
+    assert ad.affine(x, w, b).tobytes() == ad.add(ad.matmul(x, w), b).tobytes()
+
+
+@pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+    ((5,), (5, 3), (3,)),        # x not 2-d
+    ((4, 5), (4, 3), (3,)),      # inner dimensions differ
+    ((4, 5), (5, 3, 1), (3,)),   # w not 2-d
+    ((4, 5), (5, 3), (4,)),      # bias length differs from the output width
+    ((4, 5), (5, 3), (1, 3)),    # bias not a row vector
+])
+def test_affine_rejects_incompatible_shapes(x_shape, w_shape, b_shape):
+    tape = ad.Tape()
+    w = tape.leaf(np.zeros(w_shape))
+    with pytest.raises(ShapeError):
+        ad.affine(np.zeros(x_shape), w, np.zeros(b_shape))
+    with pytest.raises(ShapeError):
+        ad.affine(np.zeros(x_shape), np.zeros(w_shape), np.zeros(b_shape))
+
+
+def _untiled_bernoulli_logpmf(y, t):
+    # the one-pass form every tile repeats, over the whole broadcast at once
+    s = (1.0 - 2.0 * y) * t
+    tail = np.log1p(np.exp(-np.abs(s)))
+    return -np.sum(np.maximum(s, 0.0) + tail, axis=-1)
+
+
+def _tile_cases():
+    tile = ad.TILE
+    return [
+        ("vae_eval_block", (5, 1, 784), (5, 200, 784)),   # one row of x per item
+        ("per_item_logits", (5, 200, 784), (5, 1, 784)),
+        ("prior_row", (5, 200, 784), (784,)),
+        ("ragged_items", (11, 10, 784), (11, 10, 784)),   # 8 items per tile, then 3
+        ("ragged_samples", (3, 1000, 100), (3, 1, 100)),  # 655 rows per tile, then 345
+        ("long_rows", (3, tile + 5), (3, tile + 5)),      # a row longer than a tile
+        ("one_long_row", (tile + 5,), (tile + 5,)),
+    ]
+
+
+@pytest.mark.parametrize("y_shape,t_shape", [c[1:] for c in _tile_cases()],
+                         ids=[c[0] for c in _tile_cases()])
+def test_tiled_bernoulli_logpmf_is_bit_equal_to_one_call(y_shape, t_shape):
+    rng = np.random.default_rng(31)
+    y = (rng.random(y_shape) < 0.5).astype(np.float64)
+    t = rng.normal(size=t_shape) * 4.0
+    got = ad.bernoulli_logpmf(y, t)
+    want = _untiled_bernoulli_logpmf(y, t)
+    assert np.broadcast_shapes(y_shape, t_shape)[:-1] == got.shape
+    assert np.prod(np.broadcast_shapes(y_shape, t_shape)) > ad.TILE
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_tape_free_bernoulli_logpmf_equals_the_taped_value():
+    rng = np.random.default_rng(32)
+    y = (rng.random((5, 1, 784)) < 0.5).astype(np.float64)
+    t = rng.normal(size=(5, 200, 784)) * 4.0
+    taped = ad.bernoulli_logpmf(y, ad.Tape().leaf(t))
+    assert ad.bernoulli_logpmf(y, t).tobytes() == taped.value.tobytes()
+
+
+def test_tiled_bernoulli_logpmf_memory_is_bounded_by_the_tile():
+    # one untiled call would make two (5, 200, 784) temporaries, 12.5 MB
+    rng = np.random.default_rng(33)
+    y = (rng.random((5, 1, 784)) < 0.5).astype(np.float64)
+    t = rng.normal(size=(5, 200, 784))
+    tracemalloc.start()
+    try:
+        ad.bernoulli_logpmf(y, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * ad.TILE * 8
 
 
 def test_bernoulli_logpmf_rejects_taped_observations():

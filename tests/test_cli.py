@@ -188,3 +188,16 @@ def test_sweep_cli_single_cell(tmp_path):
                 "--test-items", "8", "--out", str(tmp_path / "sw")])
     assert code == 0
     assert (tmp_path / "sw" / "sweep.csv").exists()
+
+
+def test_sweep_cli_exits_one_when_a_cell_fails(tmp_path, capsys):
+    code = run(["sweep", "--model", "toy", "--dataset", "synthetic-toy", "--d-x", "2",
+                "--m-latent", "2", "--S", "4", "--K", "2", "--iters", "10",
+                "--beta1-list", "2.0,0.3",  # 2.0 is invalid for log spacing
+                "--batch", "4", "--seed", "2", "--train-items", "16",
+                "--test-items", "8", "--out", str(tmp_path / "sw")])
+    assert code == 1
+    table = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+    assert len(table) == 3
+    assert "error: DomainError:" in table[1] and ",ok," in table[2]
+    assert "1 of 2 sweep cells failed" in capsys.readouterr().err

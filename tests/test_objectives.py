@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import mc_mean_se
 from tvo import autodiff as ad
+from tvo import estimators as est
 from tvo import objectives as obj
 from tvo import oracles
 from tvo.errors import ConfigError, DegenerateWeightsWarning, ShapeError
@@ -346,3 +349,26 @@ def test_crn_training_gradient_sums_the_term_gradients(kind):
                for k, width in obj._riemann_terms(spec))
     got = obj.training_gradient(spec, model, params, x, seed=11).vector
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
+
+
+@pytest.mark.parametrize("case,kind,affine", [("desk_sbn", "tvo_lower", 4), ("vae", "iwae", 11)])
+def test_training_step_records_each_layer_as_one_affine_node(monkeypatch, case, kind, affine):
+    # desk SBN: two decoder and two encoder layers; VAE: three decoder layers
+    # and the four encoder layers, run once by reparam_sample and once by log_q
+    if case == "desk_sbn":
+        model = SigmoidBeliefNet(d_x=64, d_z=12, layers=2, nonlinear=False)
+    else:
+        model = GaussianVAE(d_x=8, d_z=3)
+    x = (np.random.default_rng(2).random((4, model.d_x)) < 0.5).astype(np.float64)
+    ops = Counter()
+    backward = est.backward
+
+    def counted(out):
+        ops.update(node.op for node in out.tape.nodes)
+        return backward(out)
+
+    monkeypatch.setattr(est, "backward", counted)
+    spec = obj.ObjectiveSpec(kind, make_schedule(2, 0.3, "log"), S=5)
+    obj.training_step(spec, model, model.init_params(4), x, seed=11)
+    assert ops["affine"] == affine
+    assert ops["matmul"] == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tvo import trainer as tr
-from tvo.autodiff import ParamVector
+from tvo.autodiff import TILE, ParamVector
 from tvo.errors import ConfigError, FormatError
 from tvo.estimators import build_weight_table
 from tvo.objectives import iwae_estimate
@@ -61,25 +61,25 @@ def _bits(a):
 @pytest.mark.parametrize("maximize", [False, True])
 def test_adam_matches_the_closed_form_bit_for_bit(maximize):
     rng = np.random.default_rng(8)
-    n = 64
-    params = ParamVector.build({"a": rng.normal(size=n)})
-    state = tr.AdamState.for_params(params, lr=0.01)
-    b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
-    m, v, x = np.zeros(n), np.zeros(n), params.vector.copy()
-    for t in range(1, 21):
-        grad = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 3, size=n)
-        grad[:2] = (0.0, -0.0)
-        params = tr.adam_step(state, params, grad, maximize=maximize)
-        g = -grad if maximize else grad
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        x = x - lr * m_hat / (np.sqrt(v_hat) + eps)
-        np.testing.assert_array_equal(_bits(state.m), _bits(m))
-        np.testing.assert_array_equal(_bits(state.v), _bits(v))
-        np.testing.assert_array_equal(_bits(params.vector), _bits(x))
-        assert state.step == t
+    for n in (64, 3 * TILE + 17):  # one partial tile; three whole tiles and a ragged one
+        params = ParamVector.build({"a": rng.normal(size=n)})
+        state = tr.AdamState.for_params(params, lr=0.01)
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+        m, v, x = np.zeros(n), np.zeros(n), params.vector.copy()
+        for t in range(1, 21):
+            grad = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 3, size=n)
+            grad[:2] = (0.0, -0.0)
+            params = tr.adam_step(state, params, grad, maximize=maximize)
+            g = -grad if maximize else grad
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            x = x - lr * m_hat / (np.sqrt(v_hat) + eps)
+            np.testing.assert_array_equal(_bits(state.m), _bits(m))
+            np.testing.assert_array_equal(_bits(state.v), _bits(v))
+            np.testing.assert_array_equal(_bits(params.vector), _bits(x))
+            assert state.step == t
 
 
 def test_adam_leaves_the_input_vector_and_gradient_unchanged():
@@ -106,6 +106,19 @@ def test_adam_skipped_step_leaves_the_moments_untouched():
     np.testing.assert_array_equal(_bits(state.m), _bits(m))
     np.testing.assert_array_equal(_bits(state.v), _bits(v))
     assert state.step == 1 and state.skipped == 3
+
+    # a non-finite entry in the last tile must not let earlier tiles update
+    n = 3 * TILE + 17
+    params = ParamVector.build({"a": np.ones(n)})
+    state = tr.AdamState.for_params(params, lr=0.1)
+    params = tr.adam_step(state, params, np.linspace(-1.0, 1.0, n))
+    m, v = state.m.copy(), state.v.copy()
+    bad = np.ones(n)
+    bad[-1] = np.nan
+    assert tr.adam_step(state, params, bad) is params
+    np.testing.assert_array_equal(_bits(state.m), _bits(m))
+    np.testing.assert_array_equal(_bits(state.v), _bits(v))
+    assert state.step == 1 and state.skipped == 1
 
 
 # IDX loading -------------------------------------------------------------------
@@ -331,6 +344,20 @@ def test_sweep_records_cell_failures_and_continues(tmp_path):
     assert rows[0][5].startswith("error")
     assert rows[1][5] == "ok"
     assert (tmp_path / "sweep" / "sweep.csv").exists()
+
+
+def test_sweep_lets_programming_errors_propagate(tmp_path, monkeypatch):
+    base = tr.RunConfig(model="toy", objective="tvo_lower", dataset="synthetic-toy",
+                        d_x=2, m_latent=2, S=6, K=2, beta1=0.3, lr=0.05, iters=10,
+                        batch=8, seed=7, train_items=32, test_items=16,
+                        out=str(tmp_path / "sweep"))
+
+    def broken(config, data=None):
+        raise TypeError("a bug, not a failed cell")
+
+    monkeypatch.setattr(tr, "train", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        tr.sweep(base, beta1_list=[0.3, 0.5])
 
 
 def test_sweep_final_log_evidence_nondecreasing_in_samples():
