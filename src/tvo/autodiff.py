@@ -22,7 +22,7 @@ from .errors import DomainError, NumericalError, ShapeError, UsageError
 __all__ = [
     "TILE", "Tape", "Var", "backward", "add", "sub", "mul", "div", "neg", "matmul",
     "affine", "tsum", "tmean", "exp", "log", "sigmoid", "tanh", "log_sigmoid",
-    "bernoulli_logpmf", "logsumexp", "log_softmax", "gather", "reshape", "detach", "value_of",
+    "bernoulli_logpmf", "logsumexp", "log_softmax", "gather", "reshape", "value_of",
     "ParamVector", "finite_difference_gradient", "value_and_grad",
     "random_check_network",
 ]
@@ -111,11 +111,6 @@ def _as_array(x) -> np.ndarray:
 def value_of(x) -> np.ndarray:
     """Underlying array of a Var or plain input."""
     return x.value if isinstance(x, Var) else _as_array(x)
-
-
-def detach(x) -> np.ndarray:
-    """Constant copy of x; gradients do not flow through it."""
-    return np.array(value_of(x))
 
 
 def _tape_of(*args):

@@ -116,10 +116,10 @@ def build_weight_table(model, params, x, S, schedule, seed) -> WeightTable:
     """Draw z_s ~ q(.|x) once, score them under p and q, temper per knot.
 
     Identical seeds give bit-identical tables. A row whose weights are all
-    zero means the proposal missed the joint's support entirely. Scores with
-    plain arrays in item blocks of about BLOCK samples; a training step makes
-    the same call on a lifted view (_scored_table) and differentiates that
-    one forward pass.
+    zero means the proposal missed the joint's support entirely. Draws and
+    scores with plain arrays in item blocks of about BLOCK samples; a
+    training step makes the same call on a lifted view (_scored_table) and
+    differentiates that one forward pass.
     """
     return _scored_table(model, params, params.as_dict(), x, S, schedule, seed)[0]
 
@@ -127,11 +127,13 @@ def build_weight_table(model, params, x, S, schedule, seed) -> WeightTable:
 def _scored_table(model, params, view, x, S, schedule, seed):
     """build_weight_table scoring through `view`: (table, U', log p, log q).
 
-    The batch zs is drawn once for all items. A lifted view is scored as one
-    block on its tape, so a training step differentiates the very forward
-    pass that produced its weights, and the three scores are Vars. A
-    tape-free view is scored in blocks of max(1, BLOCK // S) items into one
-    log_w, and the three scores come back as None.
+    The proposal noise is drawn once for all items; each sample_q call turns
+    it into z and log q with one inference-network pass. A lifted view is
+    drawn and scored as one block on its tape, so a training step
+    differentiates the very forward pass that produced its weights, and the
+    three scores are Vars. A tape-free view is drawn and scored in blocks of
+    max(1, BLOCK // S) items into one log_w, and the three scores come back
+    as None.
 
     A table that fits one block (every training-size table) is bit-identical
     to the taped one at the same seed. Larger tables agree per item to about
@@ -145,16 +147,22 @@ def _scored_table(model, params, view, x, S, schedule, seed):
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    rng = rng_stream(seed, _STREAM_SAMPLES)
-    zs = model.sample_q(params, x, S, rng)
+    noise = model.proposal_noise(rng_stream(seed, _STREAM_SAMPLES), x.shape[0], S)
     if any(isinstance(v, ad.Var) for v in view.values()):
-        u, lj, lq = _instantaneous_bound(model, view, x, zs)
+        zs, lq = model.sample_q(view, x, noise)
+        lj = model.log_joint(view, x, zs)
+        u = ad.sub(lj, lq)
         log_w = value_of(u)
     else:
         log_w = np.empty((x.shape[0], S))
         step = max(1, BLOCK // S)
+        blocks = []
         for i in range(0, x.shape[0], step):
-            log_w[i:i + step] = _instantaneous_bound(model, view, x[i:i + step], zs[i:i + step])[0]
+            z, lq = model.sample_q(view, x[i:i + step], noise[i:i + step])
+            np.subtract(model.log_joint(view, x[i:i + step], z), lq, out=log_w[i:i + step])
+            blocks.append(z)
+        # models with float latents draw z in place, leaving the batch in noise
+        zs = noise if np.may_share_memory(blocks[0], noise) else np.concatenate(blocks)
         u = lj = lq = None
     if np.any(np.all(log_w == -np.inf, axis=1)):
         raise DegenerateWeightsError("all importance weights are zero for some observation")
@@ -370,21 +378,21 @@ def reparam_gradient(model, params, x, objective, S, seed) -> GradientEstimate:
     """Pathwise gradient through z = mean + std * eps for location-scale q.
 
     objective: "elbo" (mean of U' over samples) or "iwae" (log mean weight).
-    eps ~ N(0, I) has shape (B, S) + model.latent_shape and comes from the
-    proposal stream, the very draw sample_q makes: z, and the taped U' values
-    returned in meta["log_w"], are bit-identical to build_weight_table's at
-    the same seed, so a training step takes its value from this one pass.
+    eps is the proposal_noise that build_weight_table draws at the same seed,
+    and reparam_sample returns log q from the encoder pass that made z: z,
+    and the taped U' values returned in meta["log_w"], are bit-identical to
+    that table's, so a training step takes its value from this one pass.
     """
     if getattr(model, "latent", "discrete") != "continuous" or not hasattr(model, "reparam_sample"):
         raise UnsupportedEstimatorError("reparameterization requires a location-scale continuous q")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    eps = rng_stream(seed, _STREAM_SAMPLES).normal(size=(x.shape[0], S) + tuple(model.latent_shape))
+    eps = model.proposal_noise(rng_stream(seed, _STREAM_SAMPLES), x.shape[0], S)
     tape = Tape()
     view = params.lift(tape)
-    z = model.reparam_sample(view, x, eps)
-    u = ad.sub(model.log_joint(view, x, z), model.log_q(view, x, z))
+    z, lq = model.reparam_sample(view, x, eps)
+    u = ad.sub(model.log_joint(view, x, z), lq)
     if objective == "elbo":
         per_item = ad.tmean(u, axis=1)
     elif objective == "iwae":

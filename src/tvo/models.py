@@ -6,6 +6,15 @@ Conventions shared by every model:
   * z is a batch of latent samples with shape (B, S, ...), model specific;
   * log_joint / log_q take a parameter view (name -> array or Var) and return
     a (B, S) array, or Var when any parameter is lifted onto a tape;
+  * proposal_noise(rng, B, S) draws the randomness of B x S proposal samples
+    with leading dims (B, S), so an item block of the batch is a slice of it;
+  * sample_q(view, x, noise) runs the inference network once and returns
+    (z, log q(z|x)) from the same logits or moments. z is a plain array even
+    on a lifted view, so score-function estimators stay score-function
+    estimators; log q is then a Var. Models with float latents write z over
+    the noise in place. log_q re-scores a given z;
+  * reparam_sample(view, x, eps), for a location-scale q, returns the same
+    pair with z taped as a function of the view (the pathwise estimator);
   * generative parameters live under "theta/", inference parameters under
     "phi/".
 """
@@ -24,7 +33,8 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class LatentModel:
-    """Contract shared by all models; see the module docstring for shapes."""
+    """Contract shared by all models; see the module docstring for shapes and
+    for how proposal_noise and sample_q turn noise into (z, log q)."""
 
     latent = "discrete"
 
@@ -37,7 +47,10 @@ class LatentModel:
     def log_q(self, view, x, z):
         raise NotImplementedError
 
-    def sample_q(self, params, x, S, rng):
+    def proposal_noise(self, rng, B, S):
+        raise NotImplementedError
+
+    def sample_q(self, view, x, noise):
         raise NotImplementedError
 
     def sample_joint(self, params, n, rng):
@@ -68,15 +81,14 @@ def _log_normal(v, mean, log_std):
     return ad.sub(ad.mul(ad.mul(scaled, scaled), -0.5), ad.add(0.5 * LOG_2PI, log_std))
 
 
-def _categorical_rows(prob_rows, rng, shape):
-    """Sample indices from per-row categorical distributions.
+def _categorical_rows(prob_rows, u):
+    """Indices drawn from per-row categorical distributions by inverse CDF.
 
-    prob_rows: (B, Z) probabilities per row; returns int64 array of `shape`
-    whose leading axis matches B.
+    prob_rows: (B, Z) probabilities per row; u: uniforms of shape (B, ...);
+    returns an int64 array shaped like u.
     """
     cum = np.cumsum(prob_rows, axis=-1)
     cum[..., -1] = 1.0
-    u = rng.random(shape)
     return (u[..., None] >= cum[:, None, :]).sum(axis=-1).astype(np.int64)
 
 
@@ -137,10 +149,12 @@ class ToyBernoulli(LatentModel):
         flat = ad.reshape(prop, (self.n_x * self.n_z,))
         return ad.gather(flat, x_idx[:, None] * self.n_z + z)
 
-    def sample_q(self, params, x, S, rng):
-        x_idx = self._x_index(x)
-        probs = softmax(params.get("phi/proposal"), axis=-1)[x_idx]
-        return _categorical_rows(probs, rng, (x_idx.size, S))
+    def proposal_noise(self, rng, B, S):
+        return rng.random((B, S))
+
+    def sample_q(self, view, x, noise):
+        z = _categorical_rows(softmax(value_of(view["phi/proposal"]), axis=-1)[self._x_index(x)], noise)
+        return z, self.log_q(view, x, z)
 
     def sample_joint(self, params, n, rng):
         prior = softmax(params.get("theta/prior"), axis=-1)
@@ -148,7 +162,7 @@ class ToyBernoulli(LatentModel):
         cum[-1] = 1.0
         z = np.searchsorted(cum, rng.random(n), side="right").astype(np.int64)
         lik = softmax(params.get("theta/likelihood"), axis=-1)[z]
-        x_idx = _categorical_rows(lik, rng, (n, 1))[:, 0]
+        x_idx = _categorical_rows(lik, rng.random((n, 1)))[:, 0]
         return index_to_bits(x_idx, self.d_x), z
 
     # oracle plumbing -------------------------------------------------------
@@ -190,7 +204,6 @@ class ConjugateGaussian(LatentModel):
     """
 
     latent = "continuous"
-    latent_shape = ()  # z has shape (B, S)
 
     def init_params(self, seed) -> ParamVector:
         rng = rng_stream(seed, 17)
@@ -216,16 +229,28 @@ class ConjugateGaussian(LatentModel):
         lp_x = _log_normal(x, z, view["theta/lik_log_std"])
         return ad.add(lp_z, lp_x)
 
-    def log_q(self, view, x, z):
+    def q_mean_log_std(self, view, x):
         x = self._shape_x(x)
-        mean = ad.add(ad.mul(view["phi/q_slope"], x), view["phi/q_bias"])
-        return _log_normal(z, mean, view["phi/q_log_std"])
+        return ad.add(ad.mul(view["phi/q_slope"], x), view["phi/q_bias"]), view["phi/q_log_std"]
 
-    def sample_q(self, params, x, S, rng):
-        x = self._shape_x(x)
-        mean = float(params.get("phi/q_slope")) * x + float(params.get("phi/q_bias"))
-        std = np.exp(float(params.get("phi/q_log_std")))
-        return mean + std * rng.normal(size=(x.shape[0], S))
+    def log_q(self, view, x, z):
+        mean, log_std = self.q_mean_log_std(view, x)
+        return _log_normal(z, mean, log_std)
+
+    def proposal_noise(self, rng, B, S):
+        return rng.normal(size=(B, S))
+
+    def sample_q(self, view, x, noise):
+        """Scales and shifts the normals in place: the returned z is `noise`."""
+        mean, log_std = self.q_mean_log_std(view, x)
+        z = np.multiply(np.exp(value_of(log_std)), noise, out=noise)
+        z += value_of(mean)
+        return z, _log_normal(z, mean, log_std)
+
+    def reparam_sample(self, view, x, eps):
+        mean, log_std = self.q_mean_log_std(view, x)
+        z = ad.add(mean, ad.mul(ad.exp(log_std), eps))
+        return z, _log_normal(z, mean, log_std)
 
     def sample_joint(self, params, n, rng):
         mu0 = float(params.get("theta/prior_mean"))
@@ -234,15 +259,6 @@ class ConjugateGaussian(LatentModel):
         z = mu0 + s0 * rng.normal(size=n)
         x = z + sl * rng.normal(size=n)
         return x[:, None], z
-
-    def q_mean_std(self, view, x):
-        x = self._shape_x(x)
-        mean = ad.add(ad.mul(view["phi/q_slope"], x), view["phi/q_bias"])
-        return mean, ad.exp(view["phi/q_log_std"])
-
-    def reparam_sample(self, view, x, eps):
-        mean, std = self.q_mean_std(view, x)
-        return ad.add(mean, ad.mul(std, eps))
 
     # closed forms ----------------------------------------------------------
 
@@ -456,27 +472,34 @@ class SigmoidBeliefNet(LatentModel):
         logits_x = ad.add(self._apply_map(view, "theta/decx", 2.0 * z[:, :, 0, :] - 1.0), self.x_bias)
         return ad.add(total, ad.bernoulli_logpmf(x[:, None, :], logits_x))
 
-    def log_q(self, view, x, z):
-        x = _check_binary(x)
-        z = self._check_z(z)
-        logits1 = self._apply_map(view, "phi/enc1", (x - self.x_mean + 1.0) / 2.0)
-        total = ad.bernoulli_logpmf(z[:, :, 0, :], ad.reshape(logits1, (x.shape[0], 1, self.d_z)))
-        for ell in range(2, self.layers + 1):
-            logits = self._apply_map(view, f"phi/enc{ell}", 2.0 * z[:, :, ell - 2, :] - 1.0)
-            total = ad.add(total, ad.bernoulli_logpmf(z[:, :, ell - 1, :], logits))
+    def _q_pass(self, view, x, z, draw):
+        """log q(z|x), bottom-up. With `draw`, z holds uniforms and each
+        layer is first set in place to u < sigmoid(logits), from the very
+        logits that then score it."""
+        logits = ad.reshape(self._apply_map(view, "phi/enc1", (x - self.x_mean + 1.0) / 2.0),
+                            (x.shape[0], 1, self.d_z))
+        total = None
+        for ell in range(self.layers):
+            if ell:
+                logits = self._apply_map(view, f"phi/enc{ell + 1}", 2.0 * z[:, :, ell - 1, :] - 1.0)
+            layer = z[:, :, ell, :]
+            if draw:
+                np.less(layer, sigmoid(value_of(logits)), out=layer)
+            term = ad.bernoulli_logpmf(layer, logits)
+            total = term if total is None else ad.add(total, term)
         return total
 
-    def sample_q(self, params, x, S, rng):
-        x = _check_binary(x)
-        view = params.as_dict()
-        B = x.shape[0]
-        z = np.zeros((B, S, self.layers, self.d_z))
-        probs1 = sigmoid(value_of(self._apply_map(view, "phi/enc1", (x - self.x_mean + 1.0) / 2.0)))
-        z[:, :, 0, :] = (rng.random((B, S, self.d_z)) < probs1[:, None, :]).astype(np.float64)
-        for ell in range(2, self.layers + 1):
-            logits = value_of(self._apply_map(view, f"phi/enc{ell}", 2.0 * z[:, :, ell - 2, :] - 1.0))
-            z[:, :, ell - 1, :] = (rng.random((B, S, self.d_z)) < sigmoid(logits)).astype(np.float64)
-        return z
+    def log_q(self, view, x, z):
+        return self._q_pass(view, _check_binary(x), self._check_z(z), draw=False)
+
+    def proposal_noise(self, rng, B, S):
+        """One (layers, B, S, d_z) draw, in the stream order of one draw per
+        layer, seen as (B, S, layers, d_z)."""
+        return np.moveaxis(rng.random((self.layers, B, S, self.d_z)), 0, 2)
+
+    def sample_q(self, view, x, noise):
+        """Thresholds the uniforms in place: the returned z is `noise`."""
+        return noise, self._q_pass(view, _check_binary(x), noise, draw=True)
 
     def sample_joint(self, params, n, rng):
         view = params.as_dict()
@@ -504,7 +527,6 @@ class GaussianVAE(LatentModel):
     def __init__(self, d_x=784, d_z=20):
         self.d_x = d_x
         self.d_z = d_z
-        self.latent_shape = (d_z,)  # z has shape (B, S, d_z)
 
     def init_params(self, seed) -> ParamVector:
         rng = rng_stream(seed, 29)
@@ -539,12 +561,14 @@ class GaussianVAE(LatentModel):
         return ad.reshape(out, (B, S, self.d_x))
 
     def q_mean_log_std(self, view, x):
+        """Encoder mean and log std shaped (B, 1, d_z), to broadcast over samples."""
         x = _check_binary(x)
         h = ad.tanh(ad.affine(x, view["phi/enc1.w"], view["phi/enc1.b"]))
         h = ad.tanh(ad.affine(h, view["phi/enc2.w"], view["phi/enc2.b"]))
         mean = ad.affine(h, view["phi/mean.w"], view["phi/mean.b"])
         log_std = ad.affine(h, view["phi/logstd.w"], view["phi/logstd.b"])
-        return mean, log_std
+        shape = (x.shape[0], 1, self.d_z)
+        return ad.reshape(mean, shape), ad.reshape(log_std, shape)
 
     def log_joint(self, view, x, z):
         x = _check_binary(x)
@@ -555,25 +579,23 @@ class GaussianVAE(LatentModel):
 
     def log_q(self, view, x, z):
         z = self._check_z(z)
-        B = z.shape[0]
         mean, log_std = self.q_mean_log_std(view, x)
-        mean3 = ad.reshape(mean, (B, 1, self.d_z))
-        ls3 = ad.reshape(log_std, (B, 1, self.d_z))
-        return ad.tsum(_log_normal(z, mean3, ls3), axis=-1)
+        return ad.tsum(_log_normal(z, mean, log_std), axis=-1)
 
-    def sample_q(self, params, x, S, rng):
-        view = params.as_dict()
+    def proposal_noise(self, rng, B, S):
+        return rng.normal(size=(B, S, self.d_z))
+
+    def sample_q(self, view, x, noise):
+        """Scales and shifts the normals in place: the returned z is `noise`."""
         mean, log_std = self.q_mean_log_std(view, x)
-        mean, log_std = value_of(mean), value_of(log_std)
-        eps = rng.normal(size=(x.shape[0], S, self.d_z))
-        return mean[:, None, :] + np.exp(log_std)[:, None, :] * eps
+        z = np.multiply(np.exp(value_of(log_std)), noise, out=noise)
+        z += value_of(mean)
+        return z, ad.tsum(_log_normal(z, mean, log_std), axis=-1)
 
     def reparam_sample(self, view, x, eps):
         mean, log_std = self.q_mean_log_std(view, x)
-        B = value_of(mean).shape[0]
-        mean3 = ad.reshape(mean, (B, 1, self.d_z))
-        std3 = ad.exp(ad.reshape(log_std, (B, 1, self.d_z)))
-        return ad.add(mean3, ad.mul(std3, eps))
+        z = ad.add(mean, ad.mul(ad.exp(log_std), eps))
+        return z, ad.tsum(_log_normal(z, mean, log_std), axis=-1)
 
     def sample_joint(self, params, n, rng):
         view = params.as_dict()

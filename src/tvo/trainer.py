@@ -369,6 +369,8 @@ def evaluate(model, params, items, S_eval, seed):
 
 
 def train(config: RunConfig, data: Dataset = None) -> TrainResult:
+    """Adam on every objective of `config`; minibatches cycle through the
+    training items in file order, unshuffled."""
     config.validate()
     if data is None:
         data = build_dataset(config)
@@ -383,11 +385,10 @@ def train(config: RunConfig, data: Dataset = None) -> TrainResult:
     last_good = params
     t0 = time.perf_counter()
     n = data.train.shape[0]
-    order = np.arange(n)
 
     for it in range(config.iters):
         take = (it * config.batch + np.arange(config.batch)) % n
-        x_batch = data.train[order[take]]
+        x_batch = data.train[take]
         values = []
         try:
             for which, spec in enumerate(specs):

@@ -102,15 +102,77 @@ def test_blocked_table_draws_the_batch_once(monkeypatch):
     model = SigmoidBeliefNet(d_x=16, d_z=5)
     params = model.init_params(3)
     calls = []
-    sample_q = model.sample_q
+    proposal_noise = model.proposal_noise
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return sample_q(*args, **kwargs)
+        return proposal_noise(*args, **kwargs)
 
-    monkeypatch.setattr(model, "sample_q", counted)
+    monkeypatch.setattr(model, "proposal_noise", counted)
     est.build_weight_table(model, params, _binary_items(6, 16), BLOCKED_S, [0.0, 1.0], 9)
     assert len(calls) == 1
+
+
+def test_multi_block_table_matches_the_one_block_draw(monkeypatch):
+    # the noise is drawn for the whole batch in stream order, so thresholding
+    # it per item block gives the one-block table's zs and log_w bit for bit
+    model = SigmoidBeliefNet(d_x=16, d_z=5)
+    params = model.init_params(3)
+    x = _binary_items(6, 16)
+    blocked = est.build_weight_table(model, params, x, BLOCKED_S, [0.0, 1.0], 9)
+    monkeypatch.setattr(est, "BLOCK", BLOCKED_S * x.shape[0])
+    whole = est.build_weight_table(model, params, x, BLOCKED_S, [0.0, 1.0], 9)
+    np.testing.assert_array_equal(blocked.zs, whole.zs)
+    np.testing.assert_array_equal(blocked.log_w, whole.log_w)
+
+
+def _phi_rows(monkeypatch, run):
+    """Rows each phi/ weight matrix multiplies while `run()` executes."""
+    from tvo.autodiff import ParamVector
+
+    views, layers = [], []
+    lift, as_dict, affine = ParamVector.lift, ParamVector.as_dict, ad.affine
+
+    def kept(view):
+        views.append(view)
+        return view
+
+    def recorded(x, w, b):
+        layers.append((w, ad.value_of(x).shape[0]))
+        return affine(x, w, b)
+
+    monkeypatch.setattr(ParamVector, "lift", lambda self, tape: kept(lift(self, tape)))
+    monkeypatch.setattr(ParamVector, "as_dict", lambda self: kept(as_dict(self)))
+    monkeypatch.setattr(ad, "affine", recorded)
+    run()
+    rows = {}
+    for view in views:
+        for name, value in view.items():
+            if name.startswith("phi/") and name.endswith(".w"):
+                rows[name] = rows.get(name, 0) + sum(n for w, n in layers if w is value)
+    return rows
+
+
+def test_inference_network_runs_once_per_table(monkeypatch):
+    # every item passes the encoder's x layer once and every sample the upper
+    # layers once: z and log q come from the same pass, taped or in blocks
+    from tvo import objectives as obj
+    from tvo.path import make_schedule
+
+    sbn = SigmoidBeliefNet(d_x=16, d_z=5, layers=2)
+    x = _binary_items(6, 16)
+    spec = obj.ObjectiveSpec("tvo_lower", make_schedule(2, 0.3, "log"), S=5)
+    rows = _phi_rows(monkeypatch, lambda: obj.training_step(spec, sbn, sbn.init_params(3), x, 11))
+    assert rows == {"phi/enc1.w": 6, "phi/enc2.w": 6 * 5}
+    monkeypatch.undo()
+    rows = _phi_rows(monkeypatch, lambda: est.build_weight_table(
+        sbn, sbn.init_params(3), x, BLOCKED_S, [0.0, 1.0], 9))
+    assert rows == {"phi/enc1.w": 6, "phi/enc2.w": 6 * BLOCKED_S}
+    monkeypatch.undo()
+    vae = GaussianVAE(d_x=16, d_z=3)
+    spec = obj.ObjectiveSpec("iwae", make_schedule(2, 0.3, "log"), S=5)
+    rows = _phi_rows(monkeypatch, lambda: obj.training_step(spec, vae, vae.init_params(3), x, 11))
+    assert rows == {"phi/enc1.w": 6, "phi/enc2.w": 6, "phi/mean.w": 6, "phi/logstd.w": 6}
 
 
 def test_blocked_evaluate_matches_table_estimates(monkeypatch):
@@ -371,7 +433,7 @@ def test_reparam_location_shift_gradient_is_one():
     tape = ad.Tape()
     view = params.lift(tape)
     eps = np.random.default_rng(0).normal(size=(1, 64))
-    z = model.reparam_sample(view, xb, eps)
+    z, _ = model.reparam_sample(view, xb, eps)
     ad.backward(ad.tmean(z))
     grad = params.collect_grad(view)
     assert grad[params.mask("phi/q_bias")][0] == pytest.approx(1.0, abs=1e-12)
@@ -399,13 +461,12 @@ def test_reparam_matches_frozen_noise_finite_differences():
     grad = est.reparam_gradient(model, params, x, "elbo", S=4, seed=seed).vector
 
     from tvo.util import rng_stream
-    rng = rng_stream(seed, est._STREAM_SAMPLES)
-    eps = rng.normal(size=model.sample_q(params, x, 4, rng_stream(seed, est._STREAM_SAMPLES + 1)).shape)
+    eps = model.proposal_noise(rng_stream(seed, est._STREAM_SAMPLES), x.shape[0], 4)
 
     def objective(vec):
         pv = params.with_vector(vec)
         view = pv.as_dict()
-        z = model.reparam_sample(view, x, eps)
+        z, _ = model.reparam_sample(view, x, eps)
         u = np.asarray(model.log_joint(view, x, z)) - np.asarray(model.log_q(view, x, z))
         return float(np.mean(u))
 
@@ -439,9 +500,9 @@ def test_reparam_scores_the_weight_table_batch(monkeypatch, model):
     reparam_sample = model.reparam_sample
 
     def recorded(view, x, eps):
-        z = reparam_sample(view, x, eps)
+        z, lq = reparam_sample(view, x, eps)
         zs.append(ad.value_of(z))
-        return z
+        return z, lq
 
     monkeypatch.setattr(model, "reparam_sample", recorded)
     grad = est.reparam_gradient(model, params, x, "iwae", S=4, seed=31)

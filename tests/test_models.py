@@ -35,9 +35,9 @@ def test_gaussian_vae_log_q_at_encoder_mean():
     x = (np.arange(6.0)[None, :] % 2)
     view = params.as_dict()
     mean, log_std = model.q_mean_log_std(view, x)
-    z = np.asarray(mean)[:, None, :]
+    z = np.asarray(mean)
     lq = np.asarray(model.log_q(view, x, z))[0, 0]
-    expected = np.sum(-0.5 * np.log(2 * np.pi) - np.asarray(log_std)[0])
+    expected = np.sum(-0.5 * np.log(2 * np.pi) - np.asarray(log_std)[0, 0])
     assert lq == pytest.approx(expected, abs=1e-10)
 
 
@@ -90,7 +90,7 @@ def test_toy_sample_q_frequencies_match_density():
     model, params = random_toy(30, m=3, d_x=1)
     x = np.array([[1.0]])
     n = 100_000
-    zs = model.sample_q(params, x, n, rng_stream(5, 1))
+    zs, _ = model.sample_q(params.as_dict(), x, model.proposal_noise(rng_stream(5, 1), 1, n))
     counts = np.bincount(zs[0], minlength=model.n_z)
     probs = np.exp(model.state_tables(params)[2])[1]  # x index 1
     freq = counts / n
@@ -112,19 +112,20 @@ def test_sbn_log_densities_finite_everywhere():
     rng = rng_stream(7, 2)
     params = model.init_params(7)
     x, _ = model.sample_joint(params, 4, rng)
-    zs = model.sample_q(params, x, 6, rng)
     view = params.as_dict()
+    zs, lq_drawn = model.sample_q(view, x, model.proposal_noise(rng, 4, 6))
     lj = np.asarray(model.log_joint(view, x, zs))
     lq = np.asarray(model.log_q(view, x, zs))
     assert lj.shape == (4, 6) and lq.shape == (4, 6)
     assert np.all(np.isfinite(lj)) and np.all(np.isfinite(lq))
+    np.testing.assert_array_equal(lq_drawn, lq)
 
 
 def test_sbn_nonlinear_variant_runs():
     model = SigmoidBeliefNet(d_x=8, d_z=4, layers=2, nonlinear=True)
     params = model.init_params(3)
     x, _ = model.sample_joint(params, 2, rng_stream(1, 1))
-    zs = model.sample_q(params, x, 3, rng_stream(1, 2))
+    zs, _ = model.sample_q(params.as_dict(), x, model.proposal_noise(rng_stream(1, 2), 2, 3))
     lj = np.asarray(model.log_joint(params.as_dict(), x, zs))
     assert np.all(np.isfinite(lj))
 
@@ -134,10 +135,12 @@ def test_vae_log_densities_finite_for_sampled_latents():
     params = model.init_params(11)
     rng = rng_stream(11, 3)
     x, _ = model.sample_joint(params, 3, rng)
-    zs = model.sample_q(params, x, 5, rng)
     view = params.as_dict()
+    zs, lq_drawn = model.sample_q(view, x, model.proposal_noise(rng, 3, 5))
+    lq = np.asarray(model.log_q(view, x, zs))
     assert np.all(np.isfinite(np.asarray(model.log_joint(view, x, zs))))
-    assert np.all(np.isfinite(np.asarray(model.log_q(view, x, zs))))
+    assert np.all(np.isfinite(lq))
+    np.testing.assert_array_equal(lq_drawn, lq)
 
 
 def test_bernoulli_models_reject_non_binary_observations():

@@ -351,10 +351,34 @@ def test_crn_training_gradient_sums_the_term_gradients(kind):
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
 
 
-@pytest.mark.parametrize("case,kind,affine", [("desk_sbn", "tvo_lower", 4), ("vae", "iwae", 11)])
+@pytest.mark.parametrize("case", ["vae", "gaussian"])
+def test_lifted_sample_q_returns_a_plain_z(case):
+    # z stays data on the tape: only log q carries the parameters
+    model, params, x = _single_pass_case(case)
+    view = params.lift(ad.Tape())
+    z, lq = model.sample_q(view, x, model.proposal_noise(np.random.default_rng(0), x.shape[0], 4))
+    assert type(z) is np.ndarray
+    assert isinstance(lq, ad.Var)
+
+
+@pytest.mark.parametrize("case", ["vae", "gaussian"])
+def test_crn_gradient_of_continuous_models_is_score_function(case):
+    # a pathwise term leaking through z would break this identity
+    from tvo.estimators import covariance_gradient
+
+    model, params, x = _single_pass_case(case)
+    spec = obj.ObjectiveSpec("tvo_lower", make_schedule(3, 0.1, "log"), S=8)
+    table = build_weight_table(model, params, x, 8, spec.schedule.betas, 11)
+    want = sum(width * covariance_gradient(model, params, x, None, table, k).vector
+               for k, width in obj._riemann_terms(spec))
+    got = obj.training_gradient(spec, model, params, x, seed=11).vector
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
+
+
+@pytest.mark.parametrize("case,kind,affine", [("desk_sbn", "tvo_lower", 4), ("vae", "iwae", 7)])
 def test_training_step_records_each_layer_as_one_affine_node(monkeypatch, case, kind, affine):
     # desk SBN: two decoder and two encoder layers; VAE: three decoder layers
-    # and the four encoder layers, run once by reparam_sample and once by log_q
+    # and the four encoder layers, run once by reparam_sample
     if case == "desk_sbn":
         model = SigmoidBeliefNet(d_x=64, d_z=12, layers=2, nonlinear=False)
     else:
