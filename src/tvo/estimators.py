@@ -11,6 +11,7 @@ log-sum-exp, never from exponentiating raw weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,19 +47,23 @@ def _as_beta_grid(schedule) -> np.ndarray:
 def tempered_columns(log_w, betas) -> np.ndarray:
     """Normalized weight columns w_s^beta / sum w^beta, shape (B, K+1, S).
 
-    beta = 0 is exactly uniform by construction.
+    Every knot from the first to the last nonzero beta is tempered at once,
+    in place in the output; beta = 0 knots are exactly uniform and never
+    exponentiated.
     """
     log_w = np.asarray(log_w, dtype=np.float64)
     B, S = log_w.shape
     out = np.empty((B, betas.size, S))
-    for k, beta in enumerate(betas):
-        if beta == 0.0:
-            out[:, k, :] = 1.0 / S
-            continue
-        scaled = beta * log_w
-        m = scaled.max(axis=1, keepdims=True)
-        w = np.exp(scaled - m)
-        out[:, k, :] = w / w.sum(axis=1, keepdims=True)
+    hot = np.flatnonzero(betas)
+    if hot.size:
+        run = slice(hot[0], hot[-1] + 1)
+        t = out[:, run]
+        with np.errstate(invalid="ignore"):  # 0 * -inf at an interior beta = 0, reset below
+            np.multiply(betas[run, None], log_w[:, None, :], out=t)
+        t -= t.max(axis=2, keepdims=True)
+        np.exp(t, out=t)
+        t /= t.sum(axis=2, keepdims=True)
+    out[:, betas == 0.0] = 1.0 / S
     return out
 
 
@@ -98,14 +103,25 @@ class WeightTable:
             raise ShapeError(f"beta index {beta_index} outside 0..{self.betas.size - 1}")
         return self.norm_w[:, beta_index, :]
 
+    @cached_property
+    def g(self) -> np.ndarray:
+        """Integrand estimates sum_s w_s^beta U'(z_s) at every knot, (B, K+1).
+
+        One contraction for all knots that every bound and the curve read, so
+        the K = 1 reductions and the curve endpoints reproduce the endpoint
+        estimates bit for bit.
+        """
+        g = np.einsum("bks,bs->bk", self.norm_w, self.log_w)
+        g.flags.writeable = False  # estimates read views of it
+        return g
+
     def expect(self, beta_index, f=None) -> np.ndarray:
         """Per-item sum_s w_s^beta f(z_s) under one column, shape (B,).
 
-        f defaults to U' = log w, which gives the integrand estimate g(beta).
-        Every per-knot contraction goes through here, so the K = 1 reductions
-        and the curve endpoints reproduce the endpoint estimates bit for bit.
+        f defaults to U' = log w, which reads the integrand estimate g(beta).
         """
-        return np.einsum("bs,bs->b", self.column(beta_index), self.log_w if f is None else f)
+        col = self.column(beta_index)  # validates the index
+        return self.g[:, beta_index] if f is None else np.einsum("bs,bs->b", col, f)
 
     def squeeze(self, per_item):
         per_item = np.asarray(per_item)
@@ -214,15 +230,6 @@ class GradientEstimate:
 
     def __post_init__(self):
         self.vector = np.asarray(self.vector, dtype=np.float64)
-        if not np.all(np.isfinite(self.vector)):
-            raise NumericalError("gradient estimate has non-finite entries")
-
-
-def _check_finite_grad(vector, params):
-    bad = np.nonzero(~np.isfinite(vector))[0]
-    if bad.size:
-        name = params.segment_of_index(int(bad[0]))
-        raise NumericalError(f"non-finite gradient component in segment {name}")
 
 
 def _instantaneous_bound(model, view, x, zs):
@@ -250,28 +257,35 @@ def _covariance_surrogate(table, terms, f_var, lj, lq):
     so a single detached coefficient per sample suffices. Each term is
     linear in f and in log pi~_k = beta_k log p + (1 - beta_k) log q, so the
     terms sum to one coefficient per sample on each of f, log p and log q:
-    the tape holds the same few nodes for any number of terms.
+    the tape holds the same few nodes for any number of terms. The terms are
+    folded in order along a term axis, as a per-term loop would add them.
     """
+    ks = [k for k, _ in terms]
+    widths = np.array([width for _, width in terms])[:, None]
+    betas = table.betas[ks]
     f_det = value_of(f_var)
-    on_f = on_lj = on_lq = 0.0
-    for k, width in terms:
-        wbar = table.column(k)
-        beta = float(table.betas[k])
-        f_bar = table.expect(k, f_det)[:, None]
-        coeff = width * wbar * (f_det - f_bar)
-        on_f = on_f + width * wbar
-        on_lj = on_lj + beta * coeff
-        on_lq = on_lq + (1.0 - beta) * coeff
+    wbar = table.norm_w[:, ks]  # (B, T, S)
+    f_bar = np.einsum("bts,bs->bt", wbar, f_det)[..., None]
+    weighted = widths * wbar
+    coeff = weighted * (f_det[:, None, :] - f_bar)
+    on_f = weighted.sum(axis=1)
+    on_lj, on_lq = np.einsum("ct,bts->cbs", np.stack([betas, 1.0 - betas]), coeff)
     score = ad.add(ad.mul(on_lj, lj), ad.mul(on_lq, lq))
     return ad.tsum(ad.add(ad.mul(on_f, f_var), score), axis=1)
 
 
 def _finish(per_item_surrogate, params, view, mask_prefixes=None):
+    """Flat gradient of the mean surrogate, masked to `mask_prefixes`; the
+    one finiteness check of a backward pass, naming the first bad segment."""
     total = ad.tmean(per_item_surrogate)
     backward(total)
     grad = params.collect_grad(view)
     if mask_prefixes is not None:
         params.zero_outside(grad, mask_prefixes)
+    finite = np.isfinite(grad)
+    if not finite.all():
+        name = params.segment_of_index(int(np.argmin(finite)))
+        raise NumericalError(f"non-finite gradient component in segment {name}")
     return grad
 
 
@@ -288,7 +302,6 @@ def covariance_gradient(model, params, x, f, table: WeightTable, beta_index) -> 
     f_var = u if f is None else f(view, table.x, table.zs)
     per_item = _covariance_surrogate(table, [(beta_index, 1.0)], f_var, lj, lq)
     grad = _finish(per_item, params, view)
-    _check_finite_grad(grad, params)
     return GradientEstimate(grad, "covariance", table.n_samples, table.betas.size - 1, table.seed)
 
 
@@ -312,7 +325,6 @@ def reinforce_gradient(model, params, x, f, table: WeightTable, beta_index) -> G
     direct = ad.tsum(ad.mul(wbar, f_var), axis=1)
     score = ad.tsum(ad.mul(coeff, lq), axis=1)
     grad = _finish(ad.add(direct, score), params, view)
-    _check_finite_grad(grad, params)
     return GradientEstimate(grad, "reinforce", table.n_samples, table.betas.size - 1, table.seed)
 
 
@@ -369,7 +381,6 @@ def reinforce_baseline_gradient(model, params, x, f, table: WeightTable, beta_in
     estimator's same-batch reuse.
     """
     grad = independent_inner_gradient(model, params, f, table, beta_index)
-    _check_finite_grad(grad, params)
     return GradientEstimate(grad, "reinforce_baseline", table.n_samples,
                             table.betas.size - 1, table.seed)
 
@@ -400,7 +411,6 @@ def reparam_gradient(model, params, x, objective, S, seed) -> GradientEstimate:
     else:
         raise DomainError(f"unknown reparameterization objective {objective!r}")
     grad = _finish(per_item, params, view)
-    _check_finite_grad(grad, params)
     return GradientEstimate(grad, "reparam", S, 1, int(seed), meta={"log_w": value_of(u)})
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamVector, value_of
 from .errors import DomainError, FormatError, ShapeError
-from .util import log_softmax, rng_stream, sigmoid, softmax
+from .util import rng_stream, sigmoid, softmax
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -169,15 +169,15 @@ class ToyBernoulli(LatentModel):
 
     def state_tables(self, params):
         """(log prior, per-state log likelihood rows, per-x log proposal rows)."""
-        return (log_softmax(params.get("theta/prior"), axis=-1),
-                log_softmax(params.get("theta/likelihood"), axis=-1),
-                log_softmax(params.get("phi/proposal"), axis=-1))
+        return (ad.log_softmax(params.get("theta/prior"), axis=-1),
+                ad.log_softmax(params.get("theta/likelihood"), axis=-1),
+                ad.log_softmax(params.get("phi/proposal"), axis=-1))
 
     def posterior_proposal(self, params) -> ParamVector:
         """Params with the proposal table replaced by the exact posterior."""
         lp_z, lp_x_given_z, _ = self.state_tables(params)
         joint = lp_z[:, None] + lp_x_given_z  # (Z, X)
-        post = log_softmax(joint.T, axis=-1)  # (X, Z), per-observation posterior
+        post = ad.log_softmax(joint.T, axis=-1)  # (X, Z), per-observation posterior
         return params.replace(**{"phi/proposal": post})
 
 
@@ -645,7 +645,10 @@ def load_checkpoint(path) -> dict:
         offset += 4
         if offset + name_len + 8 > len(blob):
             raise FormatError(f"truncated segment name at byte {offset}")
-        name = blob[offset:offset + name_len].decode("utf-8")
+        try:
+            name = blob[offset:offset + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"segment name at byte {offset} is not UTF-8") from None
         offset += name_len
         (count,) = struct.unpack_from("<Q", blob, offset)
         offset += 8
@@ -658,7 +661,11 @@ def load_checkpoint(path) -> dict:
 
 
 def restore_params(params: ParamVector, loaded: dict) -> ParamVector:
-    """ParamVector with values taken from a loaded checkpoint."""
+    """ParamVector with values taken from a loaded checkpoint that holds
+    exactly this model's segments."""
+    extra = [name for name in loaded if name not in params.names]
+    if extra:
+        raise FormatError(f"checkpoint segment {extra[0]} is not in the model")
     updates = {}
     for name in params.names:
         if name not in loaded:

@@ -20,7 +20,7 @@ from .estimators import (GradientEstimate, WeightTable, _covariance_surrogate,
                          _finish, _scored_table, _STREAM_FRESH,
                          _STREAM_SIMULATE, build_weight_table, reparam_gradient)
 from .path import PartitionSchedule, make_schedule
-from .util import effective_sample_size, logsumexp, rng_stream
+from .util import effective_sample_size, rng_stream
 
 OBJECTIVE_KINDS = ("elbo", "eubo", "tvo_lower", "tvo_upper", "iwae")
 
@@ -66,15 +66,6 @@ class ObjectiveSpec:
         return self.direction == "maximize"
 
 
-def _g_hat(table: WeightTable) -> np.ndarray:
-    """Per-knot integrand estimates sum_s w_s^beta U'(z_s); shape (B, K+1).
-
-    Computed column by column with the same contraction the endpoint
-    estimators use, so the K = 1 reductions are bit-identical.
-    """
-    return np.stack([table.expect(k) for k in range(table.betas.size)], axis=1)
-
-
 def elbo_estimate(table: WeightTable):
     """Uniform average of U' over the proposal samples (the beta = 0 knot)."""
     return table.squeeze(table.expect(table.beta_index(0.0)))
@@ -102,15 +93,13 @@ def _check_knots(table: WeightTable, schedule: PartitionSchedule):
 def tvo_lower(table: WeightTable, schedule: PartitionSchedule):
     """Left Riemann sum sum_k width_k g(beta_(k-1)); K = 1 is the ELBO exactly."""
     _check_knots(table, schedule)
-    g = _g_hat(table)
-    return table.squeeze(g[:, :-1] @ schedule.widths)
+    return table.squeeze(table.g[:, :-1] @ schedule.widths)
 
 
 def tvo_upper(table: WeightTable, schedule: PartitionSchedule):
     """Right Riemann sum sum_k width_k g(beta_k); K = 1 is the EUBO exactly."""
     _check_knots(table, schedule)
-    g = _g_hat(table)
-    return table.squeeze(g[:, 1:] @ schedule.widths)
+    return table.squeeze(table.g[:, 1:] @ schedule.widths)
 
 
 def iwae_estimate(log_w):
@@ -119,7 +108,7 @@ def iwae_estimate(log_w):
     single = log_w.ndim == 1
     if single:
         log_w = log_w[None, :]
-    out = np.asarray(logsumexp(log_w, axis=1)) - np.log(log_w.shape[1])
+    out = ad.logsumexp(log_w, axis=1) - np.log(log_w.shape[1])
     return float(out[0]) if single else out
 
 

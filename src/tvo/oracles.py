@@ -14,7 +14,7 @@ from . import autodiff as ad
 from .autodiff import ParamVector, Tape, backward
 from .errors import DomainError
 from .models import ConjugateGaussian, ToyBernoulli
-from .util import logsumexp, softmax
+from .util import softmax
 
 
 @dataclass
@@ -29,7 +29,7 @@ class EnumerationResult:
 
     @property
     def log_evidence(self) -> float:
-        return float(logsumexp(self.log_joint))
+        return float(ad.logsumexp(self.log_joint))
 
     @property
     def posterior(self) -> np.ndarray:
@@ -208,5 +208,5 @@ def gaussian_grid_reference(model: ConjugateGaussian, params, x, betas, n_grid=2
         mean = np.trapezoid(w * u, z)
         g[i] = mean
         var[i] = np.trapezoid(w * (u - mean) ** 2, z)
-    log_evidence = float(logsumexp(lj + np.log(z[1] - z[0])))
+    log_evidence = float(ad.logsumexp(lj + np.log(z[1] - z[0])))
     return g, var, log_evidence

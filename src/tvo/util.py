@@ -18,32 +18,12 @@ def rng_stream(seed, *stream) -> np.random.Generator:
     return np.random.default_rng(parts)
 
 
-def logsumexp(v, axis=None, keepdims=False):
-    """Stable log-sum-exp; rows of all -inf stay -inf."""
-    v = np.asarray(v, dtype=np.float64)
-    m = np.max(v, axis=axis, keepdims=True)
-    m_safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = m_safe + np.log(np.sum(np.exp(v - m_safe), axis=axis, keepdims=True))
-    out = np.where(np.isfinite(m), out, m)
-    if not keepdims:
-        out = np.squeeze(out, axis=axis) if axis is not None else out.reshape(())
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def softmax(v, axis=-1):
     v = np.asarray(v, dtype=np.float64)
     m = np.max(v, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     e = np.exp(v - m)
     return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def log_softmax(v, axis=-1):
-    v = np.asarray(v, dtype=np.float64)
-    return v - np.asarray(logsumexp(v, axis=axis, keepdims=True))
 
 
 def sigmoid(v):

@@ -48,6 +48,14 @@ def test_missing_checkpoint_is_io_error(tmp_path):
                 "--m-latent", "2", "--checkpoint", str(tmp_path / "missing.tvom")]) == 3
 
 
+def test_non_utf8_checkpoint_segment_name_is_io_error(tmp_path):
+    ck = tmp_path / "bad.tvom"
+    ck.write_bytes(b"TVOM" + (1).to_bytes(4, "little") + (2).to_bytes(4, "little")
+                   + b"\xff\xfe" + (0).to_bytes(8, "little"))
+    assert run(["eval", "--model", "toy", "--dataset", "synthetic-toy", "--d-x", "2",
+                "--m-latent", "2", "--checkpoint", str(ck)]) == 3
+
+
 def test_reparam_on_discrete_model_is_config_error(tmp_path):
     code = run(["diagnose-grad-std", "--estimator", "reparam", "--model", "toy",
                 "--dataset", "synthetic-toy", "--d-x", "2", "--m-latent", "2",

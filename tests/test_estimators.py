@@ -9,6 +9,7 @@ from tvo import estimators as est
 from tvo import oracles
 from tvo.errors import (DegenerateWeightsError, DomainError, ShapeError,
                         UnsupportedEstimatorError)
+from tvo.path import make_schedule
 from tvo.models import (ConjugateGaussian, GaussianVAE, SigmoidBeliefNet,
                         ToyBernoulli, random_conjugate_gaussian, random_toy)
 
@@ -38,6 +39,68 @@ def test_tempered_columns_frozen_two_weight_case():
     np.testing.assert_allclose(cols[0, 1], [1 / (1 + SQRT3), SQRT3 / (1 + SQRT3)], atol=1e-12)
     np.testing.assert_allclose(cols[0, 1], [0.36602540378443865, 0.6339745962155614], atol=1e-11)
     np.testing.assert_allclose(cols[0, 2], [0.25, 0.75], atol=1e-12)
+
+
+def _per_knot_columns(log_w, betas):
+    # one knot at a time, the way tempered_columns must temper every knot at once
+    B, S = log_w.shape
+    out = np.empty((B, betas.size, S))
+    for k, beta in enumerate(betas):
+        if beta == 0.0:
+            out[:, k, :] = 1.0 / S
+            continue
+        scaled = beta * log_w
+        w = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+        out[:, k, :] = w / w.sum(axis=1, keepdims=True)
+    return out
+
+
+@pytest.mark.parametrize("S", [10, 500])
+@pytest.mark.parametrize("grid", ["K1", "K2", "K5", "K50", "lone-zero"])
+@pytest.mark.parametrize("with_neg_inf", [False, True])
+def test_tempering_and_integrand_match_a_per_knot_loop(S, grid, with_neg_inf):
+    rng = np.random.default_rng(S)
+    log_w = rng.normal(size=(4, S)) * 30.0 - 100.0
+    if with_neg_inf:
+        log_w[1, ::3] = -np.inf
+        log_w[3, 1:] = -np.inf
+    betas = (np.array([0.0]) if grid == "lone-zero"
+             else make_schedule(int(grid[1:]), 0.01, "log").betas)
+    want = _per_knot_columns(log_w, betas)
+    got = est.tempered_columns(log_w, betas)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    table = est.WeightTable(betas=betas, log_w=log_w, norm_w=got, zs=None, x=np.zeros((4, 1)), seed=0)
+    # 0 * -inf terms make g nan in those rows, in the loop and in the table alike
+    with np.errstate(invalid="ignore"):
+        g_want = np.stack([np.einsum("bs,bs->b", want[:, k], log_w) for k in range(betas.size)], axis=1)
+        g = table.g
+    np.testing.assert_array_equal(g.view(np.uint64), g_want.view(np.uint64))
+
+
+@pytest.mark.parametrize("K", [1, 5, 50])
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_surrogate_coefficients_match_a_per_term_loop(K, side):
+    # the surrogate's gradients on f, log p and log q are its per-sample
+    # coefficients; they must equal the per-term loop's sums bit for bit
+    rng = np.random.default_rng(K)
+    log_w = rng.normal(size=(3, 10)) * 4.0
+    f = rng.normal(size=(3, 10))
+    betas = make_schedule(K, 0.01, "log").betas
+    table = est.WeightTable(betas=betas, log_w=log_w, norm_w=est.tempered_columns(log_w, betas),
+                            zs=None, x=np.zeros((3, 1)), seed=0)
+    shift = 0 if side == "lower" else 1
+    terms = [(k + shift, float(w)) for k, w in enumerate(np.diff(betas))]
+    want = [0.0, 0.0, 0.0]
+    for k, width in terms:
+        wbar = table.norm_w[:, k, :]
+        coeff = width * wbar * (f - np.einsum("bs,bs->b", wbar, f)[:, None])
+        want = [want[0] + width * wbar, want[1] + betas[k] * coeff,
+                want[2] + (1.0 - betas[k]) * coeff]
+    tape = ad.Tape()
+    leaves = [tape.leaf(v) for v in (f, log_w, log_w)]
+    ad.backward(ad.tsum(est._covariance_surrogate(table, terms, *leaves)))
+    for leaf, ref in zip(leaves, want):
+        np.testing.assert_array_equal(leaf.grad.view(np.uint64), ref.view(np.uint64))
 
 
 def test_weight_table_seed_determinism():

@@ -213,3 +213,22 @@ def test_checkpoint_rejects_truncation(tmp_path):
     (tmp_path / "trunc.tvom").write_bytes(blob[:-4])
     with pytest.raises(FormatError, match="truncated"):
         load_checkpoint(tmp_path / "trunc.tvom")
+
+
+def test_checkpoint_rejects_non_utf8_segment_name(tmp_path):
+    params = models.ParamVector.build({"theta/a": np.array([1.5, -2.0])})
+    ck = tmp_path / "n.tvom"
+    save_checkpoint(ck, params)
+    blob = ck.read_bytes()
+    (tmp_path / "bad.tvom").write_bytes(blob[:12] + b"\xff\xfe" + blob[14:])
+    with pytest.raises(FormatError, match="byte 12 is not UTF-8"):
+        load_checkpoint(tmp_path / "bad.tvom")
+
+
+def test_restore_rejects_segments_the_model_lacks(tmp_path):
+    deep = SigmoidBeliefNet(d_x=8, d_z=4, layers=3)
+    ck = tmp_path / "deep.tvom"
+    save_checkpoint(ck, deep.init_params(0))
+    shallow = SigmoidBeliefNet(d_x=8, d_z=4, layers=2).init_params(0)
+    with pytest.raises(FormatError, match="segment theta/dec2.w is not in the model"):
+        restore_params(shallow, load_checkpoint(ck))

@@ -12,7 +12,7 @@ from tvo.errors import ConfigError, DegenerateWeightsWarning, ShapeError
 from tvo.estimators import build_weight_table, exact_weight_table
 from tvo.models import (ConjugateGaussian, GaussianVAE, SigmoidBeliefNet,
                         random_conjugate_gaussian, random_toy)
-from tvo.path import make_schedule
+from tvo.path import integrand_curve, make_schedule
 
 
 def exact_table_for(seed=3, m=3, d_x=2, schedule=None, posterior_q=False, x=None):
@@ -327,6 +327,23 @@ def test_no_crn_training_step_scores_each_batch_once(monkeypatch, case):
     monkeypatch.setattr(model, "log_joint", counted)
     obj.training_step(spec, model, params, x, seed=11, crn=False)
     assert calls == {"numeric": 1 + 2 * n_terms, "taped": 2 * n_terms}
+
+
+@pytest.mark.parametrize("kind", ["tvo_lower", "tvo_upper"])
+def test_k50_step_and_curve_contract_no_knot_alone(monkeypatch, kind):
+    # the value, the surrogate's baselines and the curve read the table's
+    # (B, K+1) integrand and its (B, K+1, S) columns whole, never knot by knot
+    model, params, x = _single_pass_case("sbn")
+    calls = Counter()
+    for name in ("expect", "column"):
+        def counted(self, *args, _method=getattr(est.WeightTable, name), _name=name, **kw):
+            calls[_name] += 1
+            return _method(self, *args, **kw)
+        monkeypatch.setattr(est.WeightTable, name, counted)
+    spec = obj.ObjectiveSpec(kind, make_schedule(50, 0.01, "log"), S=8)
+    obj.training_step(spec, model, params, x, seed=11)
+    integrand_curve(model, params, x, np.linspace(0.0, 1.0, 51), 8, 3)
+    assert calls == Counter()
 
 
 @pytest.mark.parametrize("crn", [True, False])
