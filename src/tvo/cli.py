@@ -30,92 +30,81 @@ from .trainer import (RunConfig, build_dataset, build_model, sweep, train,
 from .util import rng_stream, write_csv, write_jsonl
 
 
-def _add_run_flags(p: argparse.ArgumentParser):
-    p.add_argument("--model", default="toy",
-                   choices=["toy", "sbn", "gaussian-vae", "conjugate-gaussian", "gaussian"])
-    p.add_argument("--objective", default="tvo_lower",
-                   choices=["elbo", "eubo", "tvo_lower", "tvo_upper", "iwae", "wake_sleep"])
-    p.add_argument("--optimize", default="both", choices=["theta", "phi", "both"])
-    p.add_argument("--data-source", default="real", choices=["real", "model_simulated"])
-    p.add_argument("--S", type=int, default=10)
-    p.add_argument("--K", type=int, default=2)
-    p.add_argument("--beta1", type=float, default=0.3)
-    p.add_argument("--spacing", default="log", choices=["equal", "log"])
-    p.add_argument("--lr", type=float, default=3e-4)
-    p.add_argument("--batch", type=int, default=24)
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--eval-interval", type=int, default=0)
-    p.add_argument("--eval-samples", type=int, default=500)
-    p.add_argument("--eval-items", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dataset", default="synthetic-toy",
-                   choices=["synthetic-toy", "synthetic-sbn", "gaussian", "mnist"])
-    p.add_argument("--images", default="")
-    p.add_argument("--labels", default="")
-    p.add_argument("--test-images", default="")
-    p.add_argument("--test-labels", default="")
-    p.add_argument("--limit", type=int, default=0)
-    p.add_argument("--out", default="")
-    p.add_argument("--crn", default="on", choices=["on", "off"])
-    p.add_argument("--single-thread", action="store_true")
-    p.add_argument("--d-x", type=int, default=8)
-    p.add_argument("--d-z", type=int, default=20)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--nonlinear", action="store_true")
-    p.add_argument("--m-latent", type=int, default=3)
-    p.add_argument("--generator-seed", type=int, default=999)
-    p.add_argument("--train-items", type=int, default=1000)
-    p.add_argument("--test-items", type=int, default=200)
-    p.add_argument("--grad-std-every", type=int, default=0)
-    p.add_argument("--allow-full-scale", action="store_true")
+# allowed values of each setting that takes one of a fixed set
+CHOICES = {
+    "model": ["toy", "sbn", "gaussian-vae", "conjugate-gaussian", "gaussian"],
+    "objective": ["elbo", "eubo", "tvo_lower", "tvo_upper", "iwae", "wake_sleep"],
+    "optimize": ["theta", "phi", "both"],
+    "data_source": ["real", "model_simulated"],
+    "spacing": ["equal", "log"],
+    "dataset": ["synthetic-toy", "synthetic-sbn", "gaussian", "mnist"],
+    "format": ["csv", "jsonl"],
+}
+
+
+def _on_off(text):
+    """A switch value: on/true or off/false, in any case."""
+    value = {"on": True, "true": True, "off": False, "false": False}.get(text.lower())
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected on or off, got {text!r}")
+    return value
+
+
+def _add_run_flags(p: argparse.ArgumentParser, checkpoint=False):
+    """One flag per RunConfig field, named, typed and defaulted by the field;
+    a setting that is off by default is a bare switch."""
+    for f in fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.default is False:
+            p.add_argument(flag, action="store_true")
+        elif f.default is True:
+            p.add_argument(flag, type=_on_off, default=f.default, metavar="{on,off}")
+        else:
+            p.add_argument(flag, type=type(f.default), default=f.default,
+                           choices=CHOICES.get(f.name))
     p.add_argument("--config", default="", help="key=value file; file overrides flags")
-    p.add_argument("--format", default="csv", choices=["csv", "jsonl"])
-    p.add_argument("--checkpoint", default="")
+    p.add_argument("--format", default="csv", choices=CHOICES["format"])
+    if checkpoint:
+        p.add_argument("--checkpoint", default="")
 
 
 def _apply_config_file(args):
-    """key=value overrides; every key mirrors a CLI flag (dashes or underscores)."""
+    """key=value overrides; every key names a flag of the subcommand (dashes
+    or underscores), and its value is parsed and checked as that flag's."""
     if not getattr(args, "config", ""):
         return args
     if not os.path.exists(args.config):
         raise FormatError(f"config file not found: {args.config}")
+    flags = {a.dest: a for a in args.parser._actions if a.option_strings and a.dest != "help"}
     with open(args.config) as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{args.config}:{line_no}"
             if "=" not in line:
-                raise ConfigError(f"{args.config}:{line_no}: expected key=value")
-            key, value = line.split("=", 1)
-            attr = key.strip().replace("-", "_")
-            if not hasattr(args, attr):
-                raise ConfigError(f"{args.config}:{line_no}: unknown key {key.strip()!r}")
-            current = getattr(args, attr)
-            if isinstance(current, bool):
-                setattr(args, attr, value.strip().lower() in ("1", "true", "on", "yes"))
-            elif isinstance(current, int):
-                setattr(args, attr, int(value))
-            elif isinstance(current, float):
-                setattr(args, attr, float(value))
-            else:
-                setattr(args, attr, value.strip())
+                raise ConfigError(f"{where}: expected key=value")
+            key, text = (part.strip() for part in line.split("=", 1))
+            action = flags.get(key.replace("-", "_"))
+            if action is None:
+                raise ConfigError(f"{where}: unknown key {key!r}")
+            try:
+                value = _on_off(text) if action.nargs == 0 else (action.type or str)(text)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ConfigError(f"{where}: bad {key} value: {exc}") from None
+            if action.choices is not None and value not in action.choices:
+                raise ConfigError(f"{where}: {key} must be one of "
+                                  f"{', '.join(action.choices)}, got {text!r}")
+            setattr(args, action.dest, value)
     return args
 
 
 def _run_config(args) -> RunConfig:
-    kwargs = {}
-    for f in fields(RunConfig):
-        attr = f.name
-        if attr == "crn":
-            kwargs[attr] = args.crn == "on"
-            continue
-        if hasattr(args, attr):
-            kwargs[attr] = getattr(args, attr)
-    return RunConfig(**kwargs)
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)}).validate()
 
 
 def _resolve(args):
-    """(dataset, model, params) for subcommands that score a model."""
+    """(config, dataset, model, params), restored from --checkpoint if given."""
     config = _run_config(args)
     data = build_dataset(config)
     model = build_model(config, data)
@@ -259,15 +248,12 @@ def _std_for(args, config, estimator, S, data, model, params):
 
 
 def cmd_diagnose_grad_std(args) -> int:
-    config = _run_config(args)
-    data = build_dataset(config)
-    model = build_model(config, data)
-    params = model.init_params(config.seed)
+    if args.pretrain_iters and args.checkpoint:
+        raise ConfigError("--pretrain-iters trains from initialization; it takes no --checkpoint")
+    config, data, model, params = _resolve(args)
     iteration = 0
     if args.pretrain_iters:
-        pre = replace(config, iters=args.pretrain_iters, out="")
-        result = train(pre, data)
-        params = result.params
+        params = train(replace(config, iters=args.pretrain_iters, out=""), data).params
         iteration = args.pretrain_iters
     estimators_list = args.estimator.split(",")
     s_list = [int(v) for v in args.S_list.split(",")] if args.S_list else [config.S]
@@ -310,47 +296,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tvo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="one training run")
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_train)
+    def command(name, func, help, run_flags=True, checkpoint=False):
+        p = sub.add_parser(name, help=help)
+        if run_flags:
+            _add_run_flags(p, checkpoint)
+        p.set_defaults(func=func, parser=p)  # the config-file reader reads p's flags
+        return p
 
-    p = sub.add_parser("sweep", help="grid of training runs over beta1/K/S")
-    _add_run_flags(p)
+    command("train", cmd_train, "one training run")
+
+    p = command("sweep", cmd_sweep, "grid of training runs over beta1/K/S")
     p.add_argument("--beta1-list", default="")
     p.add_argument("--K-list", default="")
     p.add_argument("--S-list", default="")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("eval", help="bound estimates for a model or checkpoint")
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_eval)
+    command("eval", cmd_eval, "bound estimates for a model or checkpoint", checkpoint=True)
 
-    p = sub.add_parser("check-identity", help="quadrature of the exact integrand vs exact evidence")
-    _add_run_flags(p)
+    p = command("check-identity", cmd_check_identity,
+                "quadrature of the exact integrand vs exact evidence")
     p.add_argument("--grid", type=int, default=10_000)
     p.add_argument("--report-only", action="store_true")
     p.add_argument("--match-posterior", action="store_true")
-    p.set_defaults(func=cmd_check_identity)
 
-    p = sub.add_parser("check-gradients", help="backward pass vs central finite differences")
+    p = command("check-gradients", cmd_check_gradients,
+                "backward pass vs central finite differences", run_flags=False)
     p.add_argument("--networks", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_check_gradients)
 
-    p = sub.add_parser("diagnose-grad-std", help="gradient standard deviation per estimator")
-    _add_run_flags(p)
+    p = command("diagnose-grad-std", cmd_diagnose_grad_std,
+                "gradient standard deviation per estimator", checkpoint=True)
     p.add_argument("--estimator", default="cov",
                    help="comma list from cov,reinforce,reinforce-baseline,reparam")
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--S-list", default="")
     p.add_argument("--pretrain-iters", type=int, default=0)
-    p.set_defaults(func=cmd_diagnose_grad_std)
 
-    p = sub.add_parser("export-curve", help="integrand curve as plot-ready CSV")
-    _add_run_flags(p)
+    p = command("export-curve", cmd_export_curve, "integrand curve as plot-ready CSV",
+                checkpoint=True)
     p.add_argument("--betas", default="")
     p.add_argument("--grid", type=int, default=21)
-    p.set_defaults(func=cmd_export_curve)
 
     return parser
 

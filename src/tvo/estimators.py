@@ -82,7 +82,6 @@ class WeightTable:
     x: np.ndarray              # (B, D_x)
     seed: int
     single: bool = False
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_items(self) -> int:
@@ -109,9 +108,16 @@ class WeightTable:
 
         One contraction for all knots that every bound and the curve read, so
         the K = 1 reductions and the curve endpoints reproduce the endpoint
-        estimates bit for bit.
+        estimates bit for bit. A zero-weight sample (log w = -inf) adds
+        nothing where beta > 0, and makes g(0) -inf.
         """
         g = np.einsum("bks,bs->bk", self.norm_w, self.log_w)
+        dead = np.isneginf(self.log_w)
+        rows = np.flatnonzero(dead.any(axis=1))
+        if rows.size:  # redo those rows at beta > 0 knots, where 0 * -inf read nan
+            hot = np.flatnonzero(self.betas)
+            u = np.where(dead[rows], 0.0, self.log_w[rows])
+            g[np.ix_(rows, hot)] = np.einsum("bks,bs->bk", self.norm_w[np.ix_(rows, hot)], u)
         g.flags.writeable = False  # estimates read views of it
         return g
 
@@ -191,7 +197,7 @@ def exact_weight_table(model, params, x, schedule) -> WeightTable:
     """Table whose "samples" are all latent states with exact path weights.
 
     Estimators consuming it compute exact expectations; sampling noise is
-    zero, which is what the exact_enumeration estimator kind means.
+    zero.
     """
     from .oracles import enumerate_states  # deferred: oracles imports nothing from here
 
@@ -203,8 +209,7 @@ def exact_weight_table(model, params, x, schedule) -> WeightTable:
     enum = enumerate_states(model, params, x)
     norm_w = enum.path_weights(betas)[None, :, :]
     return WeightTable(betas=betas, log_w=enum.u[None, :], norm_w=norm_w,
-                       zs=model.all_states()[None, :], x=x, seed=0, single=single,
-                       meta={"exact": True})
+                       zs=model.all_states()[None, :], x=x, seed=0, single=single)
 
 
 def expectation(table: WeightTable, beta_index, f_values):
@@ -219,13 +224,10 @@ def expectation(table: WeightTable, beta_index, f_values):
 
 @dataclass
 class GradientEstimate:
-    """Flat gradient over lambda = (theta, phi) with estimator provenance."""
+    """Flat gradient over lambda = (theta, phi); a pathwise estimate carries
+    its taped U' values in meta["log_w"]."""
 
     vector: np.ndarray
-    estimator_kind: str
-    S: int
-    K: int
-    seed: int
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -301,8 +303,7 @@ def covariance_gradient(model, params, x, f, table: WeightTable, beta_index) -> 
     u, lj, lq = _instantaneous_bound(model, view, table.x, table.zs)
     f_var = u if f is None else f(view, table.x, table.zs)
     per_item = _covariance_surrogate(table, [(beta_index, 1.0)], f_var, lj, lq)
-    grad = _finish(per_item, params, view)
-    return GradientEstimate(grad, "covariance", table.n_samples, table.betas.size - 1, table.seed)
+    return GradientEstimate(_finish(per_item, params, view))
 
 
 def reinforce_gradient(model, params, x, f, table: WeightTable, beta_index) -> GradientEstimate:
@@ -324,8 +325,7 @@ def reinforce_gradient(model, params, x, f, table: WeightTable, beta_index) -> G
     coeff = wbar * value_of(f_var)
     direct = ad.tsum(ad.mul(wbar, f_var), axis=1)
     score = ad.tsum(ad.mul(coeff, lq), axis=1)
-    grad = _finish(ad.add(direct, score), params, view)
-    return GradientEstimate(grad, "reinforce", table.n_samples, table.betas.size - 1, table.seed)
+    return GradientEstimate(_finish(ad.add(direct, score), params, view))
 
 
 def independent_inner_gradient(model, params, f, table: WeightTable, beta_index) -> np.ndarray:
@@ -380,9 +380,7 @@ def reinforce_baseline_gradient(model, params, x, f, table: WeightTable, beta_in
     seeds, which keeps this estimator distinct from the covariance
     estimator's same-batch reuse.
     """
-    grad = independent_inner_gradient(model, params, f, table, beta_index)
-    return GradientEstimate(grad, "reinforce_baseline", table.n_samples,
-                            table.betas.size - 1, table.seed)
+    return GradientEstimate(independent_inner_gradient(model, params, f, table, beta_index))
 
 
 def reparam_gradient(model, params, x, objective, S, seed) -> GradientEstimate:
@@ -410,15 +408,13 @@ def reparam_gradient(model, params, x, objective, S, seed) -> GradientEstimate:
         per_item = ad.sub(ad.logsumexp(u, axis=1), np.log(S))
     else:
         raise DomainError(f"unknown reparameterization objective {objective!r}")
-    grad = _finish(per_item, params, view)
-    return GradientEstimate(grad, "reparam", S, 1, int(seed), meta={"log_w": value_of(u)})
+    return GradientEstimate(_finish(per_item, params, view), meta={"log_w": value_of(u)})
 
 
 def exact_enumeration_gradient(model, params, x, beta, f=None) -> GradientEstimate:
     """Covariance-form gradient with exact path weights from enumeration."""
     table = exact_weight_table(model, params, x, np.array([float(beta)]))
-    est = covariance_gradient(model, params, x, f, table, 0)
-    return GradientEstimate(est.vector, "exact_enumeration", table.n_samples, 1, 0)
+    return covariance_gradient(model, params, x, f, table, 0)
 
 
 def gradient_std_diagnostic(estimator_fn, repetitions=10, seed=0) -> float:

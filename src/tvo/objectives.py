@@ -29,9 +29,6 @@ OBJECTIVE_KINDS = ("elbo", "eubo", "tvo_lower", "tvo_upper", "iwae")
 class ObjectiveSpec:
     """What to optimize: objective kind, partition schedule, sample budget,
     which parameter block moves, and where observations come from.
-
-    direction is stored explicitly rather than implied by kind; upper bounds
-    are minimized, everything else is maximized.
     """
 
     kind: str
@@ -39,7 +36,6 @@ class ObjectiveSpec:
     S: int = 10
     optimize: str = "both"
     data_source: str = "real"
-    direction: str = ""
 
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
@@ -55,15 +51,11 @@ class ObjectiveSpec:
                 raise ConfigError(f"{self.kind} needs a schedule with K >= 1")
         schedule = self.schedule if self.schedule is not None else make_schedule(1)
         object.__setattr__(self, "schedule", schedule)
-        if not self.direction:
-            implied = "minimize" if self.kind in ("eubo", "tvo_upper") else "maximize"
-            object.__setattr__(self, "direction", implied)
-        if self.direction not in ("maximize", "minimize"):
-            raise ConfigError(f"direction must be maximize|minimize, got {self.direction!r}")
 
     @property
     def maximize(self) -> bool:
-        return self.direction == "maximize"
+        """Upper bounds are minimized, everything else is maximized."""
+        return self.kind not in ("eubo", "tvo_upper")
 
 
 def elbo_estimate(table: WeightTable):
@@ -174,10 +166,9 @@ def training_step(spec: ObjectiveSpec, model, params, x, seed, crn=True):
             # the pathwise pass scores build_weight_table's batch on its tape
             est = reparam_gradient(model, params, x, "iwae", spec.S, seed)
             value = float(np.mean(iwae_estimate(est.meta["log_w"])))
-            grad = params.zero_outside(est.vector, prefixes)
-            return value, GradientEstimate(grad, "reparam", spec.S, 1, int(seed))
+            return value, GradientEstimate(params.zero_outside(est.vector, prefixes))
         value, grad = _iwae_gradient(model, params, x, spec.S, seed, prefixes)
-        return value, GradientEstimate(grad, "covariance", spec.S, 1, int(seed))
+        return value, GradientEstimate(grad)
 
     if not crn:
         return _training_step_no_reuse(spec, model, params, x, seed, prefixes)
@@ -188,9 +179,7 @@ def training_step(spec: ObjectiveSpec, model, params, x, seed, crn=True):
     shared, u, lj, lq = _scored_table(model, params, view, x, spec.S, spec.schedule.betas, seed)
     value = float(np.mean(np.asarray(objective_estimate(spec, shared))))
     per_item = _covariance_surrogate(shared, _riemann_terms(spec), u, lj, lq)
-    grad = _finish(per_item, params, view, mask_prefixes=prefixes)
-    estimate = GradientEstimate(grad, "covariance", spec.S, spec.schedule.K, int(seed))
-    return value, estimate
+    return value, GradientEstimate(_finish(per_item, params, view, mask_prefixes=prefixes))
 
 
 def _training_step_no_reuse(spec, model, params, x, seed, prefixes):
@@ -206,9 +195,7 @@ def _training_step_no_reuse(spec, model, params, x, seed, prefixes):
         fresh_seed = int(rng_stream(seed, _STREAM_FRESH, i).integers(2 ** 31))
         table = build_weight_table(model, params, x, spec.S, spec.schedule.betas, fresh_seed)
         total += width * independent_inner_gradient(model, params, None, table, k)
-    grad = params.zero_outside(total, prefixes)
-    estimate = GradientEstimate(grad, "covariance", spec.S, spec.schedule.K, int(seed))
-    return value, estimate
+    return value, GradientEstimate(params.zero_outside(total, prefixes))
 
 
 def _iwae_gradient(model, params, x, S, seed, prefixes):

@@ -215,7 +215,8 @@ DESK_CAPS = {"iters": 50_000, "d_z": 64, "S": 1000, "eval_samples": 5000, "batch
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat run description; every field mirrors a CLI flag."""
+    """Flat run description; every field is a CLI flag of the same name,
+    type and default (cli._add_run_flags)."""
 
     model: str = "toy"
     objective: str = "tvo_lower"
@@ -422,8 +423,8 @@ def train(config: RunConfig, data: Dataset = None) -> TrainResult:
     if config.out:
         os.makedirs(config.out, exist_ok=True)
         with open(os.path.join(config.out, "config.cfg"), "w") as fh:
-            for f in config.__dataclass_fields__:
-                fh.write(f"{f}={getattr(config, f)}\n")
+            # no out=: a rerun from the file writes where its --out says
+            fh.writelines(f"{f}={getattr(config, f)}\n" for f in config.__dataclass_fields__ if f != "out")
         write_csv(os.path.join(config.out, "metrics.csv"), METRICS_COLUMNS,
                   [row.astuple() for row in metrics])
         if sleep_metrics:

