@@ -5,10 +5,14 @@ topological order, so the backward pass is one reversed sweep over the node
 list. Gradient slots start at zero and accumulate, so a leaf used several
 times (shared weights) gets the sum of its contributions.
 
-Every primitive dispatches on its arguments: given plain numpy arrays it
-returns a plain array (fast path used for sampling and evaluation), given a
-Var it records the operation on that Var's tape. Model code is therefore
-written once and runs in both modes.
+Every primitive follows one recording rule (_node): it computes its value,
+then pairs each argument with the vector-Jacobian product for that argument.
+Given only plain numpy arrays it returns the plain value (the fast path of
+sampling and evaluation); otherwise it records one node whose parents are
+its Var arguments, each with its own vjp, and a constant argument's vjp is
+never called. Model code is therefore written once and runs in both modes.
+Primitives are called by name (add, mul, matmul, ...): Var has no operator
+sugar, and ndarray <op> Var raises.
 """
 from __future__ import annotations
 
@@ -47,18 +51,23 @@ class Tape:
 
 
 class Var:
-    """One node of the recorded computation: a float64 array plus its adjoint slot."""
+    """One node of the recorded computation: a float64 array plus its adjoint slot.
 
-    __slots__ = ("tape", "value", "grad", "op", "_parents", "_vjp")
+    `_parents` are the Var arguments of the primitive that made the node, in
+    argument order, and `_vjps` holds one vector-Jacobian product for each;
+    a leaf has neither.
+    """
+
+    __slots__ = ("tape", "value", "grad", "op", "_parents", "_vjps")
     __array_ufunc__ = None  # keep numpy from hijacking ndarray <op> Var
 
-    def __init__(self, tape, value, parents=(), vjp=None, op="leaf"):
+    def __init__(self, tape, value, parents=(), vjps=(), op="leaf"):
         self.tape = tape
         self.value = value
         self.grad = None
         self.op = op
         self._parents = parents
-        self._vjp = vjp
+        self._vjps = vjps
         tape.nodes.append(self)
 
     @property
@@ -67,38 +76,6 @@ class Var:
 
     def item(self) -> float:
         return float(self.value)
-
-    # arithmetic sugar; constants may sit on either side
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
 
     def __repr__(self):
         return f"Var(op={self.op}, shape={self.value.shape})"
@@ -111,13 +88,6 @@ def _as_array(x) -> np.ndarray:
 def value_of(x) -> np.ndarray:
     """Underlying array of a Var or plain input."""
     return x.value if isinstance(x, Var) else _as_array(x)
-
-
-def _tape_of(*args):
-    for a in args:
-        if isinstance(a, Var):
-            return a.tape
-    return None
 
 
 def _unbroadcast(grad, shape):
@@ -133,6 +103,16 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
+def _unreduce(g, ndim, axis, keepdims):
+    """Adjoint g of a reduction over `axis` of an ndim-d array, with the
+    reduced axes put back at length 1 so it broadcasts against the input."""
+    if keepdims:
+        return g
+    if axis is None:
+        return np.asarray(g).reshape((1,) * ndim)
+    return np.expand_dims(g, axis)
+
+
 def backward(out: Var) -> None:
     """Accumulate d(out)/d(node) into .grad for every node reaching `out`.
 
@@ -140,9 +120,10 @@ def backward(out: Var) -> None:
     exactly once, in reverse construction order.
 
     A parent's first contribution is stored as its slot without a copy. A vjp
-    returns fresh arrays, or (add, reshape) its incoming gradient or a view of
-    it, which other nodes' slots may share; such a borrowed slot is replaced
-    by a new sum on its next contribution instead of being added to in place.
+    returns fresh arrays, or (add, sub, reshape) its incoming gradient or a
+    view of it, which other nodes' slots may share; such a borrowed slot is
+    replaced by a new sum on its next contribution instead of being added to
+    in place.
     """
     if not isinstance(out, Var):
         raise UsageError("backward requires a Var produced by a forward evaluation")
@@ -154,12 +135,14 @@ def backward(out: Var) -> None:
     out.grad = np.ones_like(out.value)
     owned = set()  # ids of nodes whose slot no other node can see
     for node in reversed(tape.nodes):
-        if node.grad is None or node._vjp is None:
+        g = node.grad
+        if g is None:
             continue
-        for parent, pgrad in zip(node._parents, node._vjp(node.grad)):
+        for parent, vjp in zip(node._parents, node._vjps):
+            pgrad = vjp(g)
             if parent.grad is None:
                 parent.grad = pgrad
-                if pgrad is not node.grad and pgrad.base is None:
+                if pgrad is not g and pgrad.base is None:
                     owned.add(id(parent))
             elif id(parent) in owned:
                 parent.grad += pgrad
@@ -180,119 +163,60 @@ def grad_of(var: Var) -> np.ndarray:
 # primitives
 
 
-def _record(tape, value, parents, vjp, op):
-    return Var(tape, value, parents=parents, vjp=vjp, op=op)
+def _node(op, out, *pairs):
+    """The one recording rule: `out` as a node whose parents are the Var
+    arguments among `pairs` of (argument, vjp for that argument), in order.
+
+    Without a Var argument `out` comes back as it is. A constant argument
+    never becomes a parent, so its vjp is never called.
+    """
+    parents, vjps = [], []
+    for arg, vjp in pairs:
+        if isinstance(arg, Var):
+            parents.append(arg)
+            vjps.append(vjp)
+    if not parents:
+        return out
+    return Var(parents[0].tape, np.asarray(out), tuple(parents), tuple(vjps), op)
 
 
 def add(a, b):
-    tape = _tape_of(a, b)
     av, bv = value_of(a), value_of(b)
-    out = av + bv
-    if tape is None:
-        return out
-    parents, slots = [], []
-    if isinstance(a, Var):
-        parents.append(a)
-        slots.append(av.shape)
-    if isinstance(b, Var):
-        parents.append(b)
-        slots.append(bv.shape)
-
-    def vjp(g):
-        return [_unbroadcast(g, s) for s in slots]
-
-    return _record(tape, out, tuple(parents), vjp, "add")
+    return _node("add", av + bv,
+                 (a, lambda g: _unbroadcast(g, av.shape)),
+                 (b, lambda g: _unbroadcast(g, bv.shape)))
 
 
 def sub(a, b):
-    tape = _tape_of(a, b)
     av, bv = value_of(a), value_of(b)
-    out = av - bv
-    if tape is None:
-        return out
-    parents, signs, shapes = [], [], []
-    if isinstance(a, Var):
-        parents.append(a), signs.append(1.0), shapes.append(av.shape)
-    if isinstance(b, Var):
-        parents.append(b), signs.append(-1.0), shapes.append(bv.shape)
-
-    def vjp(g):
-        return [_unbroadcast(s * g, sh) for s, sh in zip(signs, shapes)]
-
-    return _record(tape, out, tuple(parents), vjp, "sub")
+    return _node("sub", av - bv,
+                 (a, lambda g: _unbroadcast(g, av.shape)),
+                 (b, lambda g: _unbroadcast(-g, bv.shape)))
 
 
 def mul(a, b):
-    tape = _tape_of(a, b)
     av, bv = value_of(a), value_of(b)
-    out = av * bv
-    if tape is None:
-        return out
-    parents, others, shapes = [], [], []
-    if isinstance(a, Var):
-        parents.append(a), others.append(bv), shapes.append(av.shape)
-    if isinstance(b, Var):
-        parents.append(b), others.append(av), shapes.append(bv.shape)
-
-    def vjp(g):
-        return [_unbroadcast(g * o, sh) for o, sh in zip(others, shapes)]
-
-    return _record(tape, out, tuple(parents), vjp, "mul")
+    return _node("mul", av * bv,
+                 (a, lambda g: _unbroadcast(g * bv, av.shape)),
+                 (b, lambda g: _unbroadcast(g * av, bv.shape)))
 
 
 def div(a, b):
-    tape = _tape_of(a, b)
     av, bv = value_of(a), value_of(b)
-    out = av / bv
-    if tape is None:
-        return out
-    parents, kinds, shapes = [], [], []
-    if isinstance(a, Var):
-        parents.append(a), kinds.append("num"), shapes.append(av.shape)
-    if isinstance(b, Var):
-        parents.append(b), kinds.append("den"), shapes.append(bv.shape)
-
-    def vjp(g):
-        grads = []
-        for kind, sh in zip(kinds, shapes):
-            if kind == "num":
-                grads.append(_unbroadcast(g / bv, sh))
-            else:
-                grads.append(_unbroadcast(-g * av / (bv * bv), sh))
-        return grads
-
-    return _record(tape, out, tuple(parents), vjp, "div")
+    return _node("div", av / bv,
+                 (a, lambda g: _unbroadcast(g / bv, av.shape)),
+                 (b, lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape)))
 
 
 def neg(a):
-    tape = _tape_of(a)
-    out = -value_of(a)
-    if tape is None:
-        return out
-    return _record(tape, out, (a,), lambda g: [-g], "neg")
+    return _node("neg", -value_of(a), (a, np.negative))
 
 
 def matmul(a, b):
-    tape = _tape_of(a, b)
     av, bv = value_of(a), value_of(b)
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {av.shape} @ {bv.shape}")
-    out = av @ bv
-    if tape is None:
-        return out
-    parents, kinds = [], []
-    if isinstance(a, Var):
-        parents.append(a), kinds.append("left")
-    if isinstance(b, Var):
-        parents.append(b), kinds.append("right")
-
-    def vjp(g):
-        grads = []
-        for kind in kinds:
-            grads.append(g @ bv.T if kind == "left" else av.T @ g)
-        return grads
-
-    return _record(tape, out, tuple(parents), vjp, "matmul")
+    return _node("matmul", av @ bv, (a, lambda g: g @ bv.T), (b, lambda g: av.T @ g))
 
 
 def affine(x, w, b):
@@ -302,49 +226,19 @@ def affine(x, w, b):
     bit that of add(matmul(x, w), b) without a second (n, d_out) array, and
     the vjp (g @ w.T, x.T @ g, g summed over rows) gives the same gradients.
     """
-    tape = _tape_of(x, w, b)
     xv, wv, bv = value_of(x), value_of(w), value_of(b)
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:
         raise ShapeError(f"affine: incompatible shapes {xv.shape} @ {wv.shape} + {bv.shape}")
     out = xv @ wv
     out += bv
-    if tape is None:
-        return out
-    parents, kinds = [], []
-    for parent, kind in ((x, "x"), (w, "w"), (b, "b")):
-        if isinstance(parent, Var):
-            parents.append(parent), kinds.append(kind)
-
-    def vjp(g):
-        grads = []
-        for kind in kinds:
-            if kind == "x":
-                grads.append(g @ wv.T)
-            elif kind == "w":
-                grads.append(xv.T @ g)
-            else:
-                grads.append(g.sum(axis=0))
-        return grads
-
-    return _record(tape, out, tuple(parents), vjp, "affine")
+    return _node("affine", out, (x, lambda g: g @ wv.T), (w, lambda g: xv.T @ g),
+                 (b, lambda g: g.sum(axis=0)))
 
 
 def tsum(a, axis=None, keepdims=False):
-    tape = _tape_of(a)
     av = value_of(a)
-    out = np.sum(av, axis=axis, keepdims=keepdims)
-    if tape is None:
-        return out
-
-    def vjp(g):
-        gg = g
-        if not keepdims and axis is not None:
-            gg = np.expand_dims(g, axis)
-        if not keepdims and axis is None:
-            gg = np.asarray(g).reshape((1,) * av.ndim)
-        return [np.broadcast_to(gg, av.shape).copy()]
-
-    return _record(tape, np.asarray(out), (a,), vjp, "sum")
+    return _node("sum", np.sum(av, axis=axis, keepdims=keepdims),
+                 (a, lambda g: np.broadcast_to(_unreduce(g, av.ndim, axis, keepdims), av.shape).copy()))
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -354,49 +248,31 @@ def tmean(a, axis=None, keepdims=False):
 
 
 def exp(a):
-    tape = _tape_of(a)
     out = np.exp(value_of(a))
-    if tape is None:
-        return out
-    return _record(tape, out, (a,), lambda g: [g * out], "exp")
+    return _node("exp", out, (a, lambda g: g * out))
 
 
 def log(a):
-    tape = _tape_of(a)
     av = value_of(a)
     with np.errstate(divide="ignore"):
         out = np.log(av)
-    if tape is None:
-        return out
-    return _record(tape, out, (a,), lambda g: [g / av], "log")
+    return _node("log", out, (a, lambda g: g / av))
 
 
 def sigmoid(a):
-    tape = _tape_of(a)
-    av = value_of(a)
-    out = util.sigmoid(av)
-    if tape is None:
-        return out
-    return _record(tape, out, (a,), lambda g: [g * out * (1.0 - out)], "sigmoid")
+    out = util.sigmoid(value_of(a))
+    return _node("sigmoid", out, (a, lambda g: g * out * (1.0 - out)))
 
 
 def tanh(a):
-    tape = _tape_of(a)
     out = np.tanh(value_of(a))
-    if tape is None:
-        return out
-    return _record(tape, out, (a,), lambda g: [g * (1.0 - out * out)], "tanh")
+    return _node("tanh", out, (a, lambda g: g * (1.0 - out * out)))
 
 
 def log_sigmoid(a):
-    """log(sigmoid(a)), stable on both tails."""
-    tape = _tape_of(a)
+    """log(sigmoid(a)), stable on both tails; its derivative is sigmoid(-a)."""
     av = value_of(a)
-    out = util.log_sigmoid(av)
-    if tape is None:
-        return out
-    sig_neg = util.sigmoid(-av)  # d/dx log sigmoid(x) = sigmoid(-x)
-    return _record(tape, out, (a,), lambda g: [g * sig_neg], "log_sigmoid")
+    return _node("log_sigmoid", util.log_sigmoid(av), (a, lambda g: g * util.sigmoid(-av)))
 
 
 def bernoulli_logpmf(y, logits):
@@ -415,23 +291,16 @@ def bernoulli_logpmf(y, logits):
     """
     if isinstance(y, Var):
         raise UsageError("bernoulli_logpmf: y must be constant observations, not a Var")
-    tape = _tape_of(logits)
     yv, tv = _as_array(y), value_of(logits)
     sign = 1.0 - 2.0 * yv  # turns t into the log-odds against the observed value
-    if tape is None:
-        shape = np.broadcast(sign, tv).shape
-        if math.prod(shape) > TILE:
-            out = np.empty(shape[:-1])
-            _bernoulli_tiles(np.broadcast_to(sign, shape), np.broadcast_to(tv, shape), out)
-            return out
-    out = _bernoulli_rows(sign, tv)
-    if tape is None:
-        return out
-
-    def vjp(g):
-        return [_unbroadcast(np.asarray(g)[..., None] * (yv - util.sigmoid(tv)), tv.shape)]
-
-    return _record(tape, np.asarray(out), (logits,), vjp, "bernoulli_logpmf")
+    shape = np.broadcast(sign, tv).shape
+    if isinstance(logits, Var) or math.prod(shape) <= TILE:
+        out = _bernoulli_rows(sign, tv)
+    else:
+        out = np.empty(shape[:-1])
+        _bernoulli_tiles(np.broadcast_to(sign, shape), np.broadcast_to(tv, shape), out)
+    return _node("bernoulli_logpmf", out, (logits, lambda g: _unbroadcast(
+        np.asarray(g)[..., None] * (yv - util.sigmoid(tv)), tv.shape)))
 
 
 def _bernoulli_rows(sign, t, out=None):
@@ -462,7 +331,6 @@ def _bernoulli_tiles(sign, t, out):
 
 
 def logsumexp(a, axis=None, keepdims=False):
-    tape = _tape_of(a)
     av = value_of(a)
     m = np.max(av, axis=axis, keepdims=True)
     m_safe = np.where(np.isfinite(m), m, 0.0)
@@ -471,20 +339,13 @@ def logsumexp(a, axis=None, keepdims=False):
         total = np.sum(np.exp(shifted), axis=axis, keepdims=True)
         out_k = np.where(np.isfinite(m), m_safe + np.log(total), m)
     out = out_k if keepdims else (np.squeeze(out_k, axis=axis) if axis is not None else out_k.reshape(()))
-    if tape is None:
-        return out
-    with np.errstate(invalid="ignore"):
-        soft = np.where(av == -np.inf, 0.0, np.exp(av - np.where(np.isfinite(out_k), out_k, 0.0)))
 
-    def vjp(g):
-        gg = g
-        if not keepdims and axis is not None:
-            gg = np.expand_dims(g, axis)
-        if not keepdims and axis is None:
-            gg = np.asarray(g).reshape((1,) * av.ndim)
-        return [gg * soft]
+    def vjp(g):  # g times the softmax of a, which is 0 where a = -inf
+        with np.errstate(invalid="ignore"):
+            soft = np.where(av == -np.inf, 0.0, np.exp(av - np.where(np.isfinite(out_k), out_k, 0.0)))
+        return _unreduce(g, av.ndim, axis, keepdims) * soft
 
-    return _record(tape, np.asarray(out), (a,), vjp, "logsumexp")
+    return _node("logsumexp", out, (a, vjp))
 
 
 def log_softmax(a, axis=-1):
@@ -494,32 +355,24 @@ def log_softmax(a, axis=-1):
 def gather(a, idx):
     """Index/select along the first axis with an integer array; duplicate
     indices accumulate on the backward pass."""
-    tape = _tape_of(a)
     av = value_of(a)
     idx = np.asarray(idx)
     if not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError(f"gather: index dtype must be integer, got {idx.dtype}")
     if idx.size and (idx.min() < 0 or idx.max() >= av.shape[0]):
         raise ShapeError(f"gather: index out of range for axis of length {av.shape[0]}")
-    out = av[idx]
-    if tape is None:
-        return out
 
     def vjp(g):
         acc = np.zeros_like(av)
         np.add.at(acc, idx, g)
-        return [acc]
+        return acc
 
-    return _record(tape, out, (a,), vjp, "gather")
+    return _node("gather", av[idx], (a, vjp))
 
 
 def reshape(a, shape):
-    tape = _tape_of(a)
     av = value_of(a)
-    out = av.reshape(shape)
-    if tape is None:
-        return out
-    return _record(tape, out, (a,), lambda g: [g.reshape(av.shape)], "reshape")
+    return _node("reshape", av.reshape(shape), (a, lambda g: g.reshape(av.shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,11 @@ class WeightTable:
 
     One shared sample batch underlies every column. `single` records whether
     the caller passed one observation, so estimates squeeze back to scalars.
+
+    The zero-weight rule, kept by contract and deviations: a sample with
+    log w = -inf has weight exactly 0 at every beta > 0 and adds exactly 0
+    there, although 0 * -inf reads nan; at beta = 0 its weight is 1/S and
+    its -inf stands.
     """
 
     betas: np.ndarray          # (K+1,)
@@ -108,18 +113,31 @@ class WeightTable:
 
         One contraction for all knots that every bound and the curve read, so
         the K = 1 reductions and the curve endpoints reproduce the endpoint
-        estimates bit for bit. A zero-weight sample (log w = -inf) adds
-        nothing where beta > 0, and makes g(0) -inf.
+        estimates bit for bit.
         """
-        g = np.einsum("bks,bs->bk", self.norm_w, self.log_w)
-        dead = np.isneginf(self.log_w)
-        rows = np.flatnonzero(dead.any(axis=1))
-        if rows.size:  # redo those rows at beta > 0 knots, where 0 * -inf read nan
-            hot = np.flatnonzero(self.betas)
-            u = np.where(dead[rows], 0.0, self.log_w[rows])
-            g[np.ix_(rows, hot)] = np.einsum("bks,bs->bk", self.norm_w[np.ix_(rows, hot)], u)
+        g = self.contract(self.log_w)
         g.flags.writeable = False  # estimates read views of it
         return g
+
+    def contract(self, f, ks=slice(None)) -> np.ndarray:
+        """sum_s w_s^beta f(z_s) per item at the knots `ks`, (B, T)."""
+        w = self.norm_w[:, ks]
+        out = np.einsum("bts,bs->bt", w, f)
+        dead = np.isneginf(self.log_w)
+        rows, hot = np.flatnonzero(dead.any(axis=1)), np.flatnonzero(self.betas[ks])
+        if rows.size and hot.size:  # redo those entries without the dead samples
+            live = np.where(dead[rows], 0.0, f[rows])
+            out[np.ix_(rows, hot)] = np.einsum("bts,bs->bt", w[np.ix_(rows, hot)], live)
+        return out
+
+    def deviations(self, f, mean, ks=slice(None)) -> np.ndarray:
+        """f(z_s) - mean per item, knot of `ks` and sample, (B, T, S); a dead
+        sample's deviation reads 0 where beta > 0."""
+        dev = f[:, None, :] - mean[:, :, None]
+        dead = np.isneginf(self.log_w)
+        if dead.any():
+            dev[dead[:, None, :] & (self.betas[ks] > 0.0)[:, None]] = 0.0
+        return dev
 
     def expect(self, beta_index, f=None) -> np.ndarray:
         """Per-item sum_s w_s^beta f(z_s) under one column, shape (B,).
@@ -266,14 +284,14 @@ def _covariance_surrogate(table, terms, f_var, lj, lq):
     widths = np.array([width for _, width in terms])[:, None]
     betas = table.betas[ks]
     f_det = value_of(f_var)
-    wbar = table.norm_w[:, ks]  # (B, T, S)
-    f_bar = np.einsum("bts,bs->bt", wbar, f_det)[..., None]
-    weighted = widths * wbar
-    coeff = weighted * (f_det[:, None, :] - f_bar)
+    weighted = widths * table.norm_w[:, ks]  # (B, T, S)
+    coeff = weighted * table.deviations(f_det, table.contract(f_det, ks), ks)
     on_f = weighted.sum(axis=1)
     on_lj, on_lq = np.einsum("ct,bts->cbs", np.stack([betas, 1.0 - betas]), coeff)
-    score = ad.add(ad.mul(on_lj, lj), ad.mul(on_lq, lq))
-    return ad.tsum(ad.add(ad.mul(on_f, f_var), score), axis=1)
+    # only the gradient is read: a zero-weight sample's 0 * -inf makes the value nan
+    with np.errstate(invalid="ignore"):
+        score = ad.add(ad.mul(on_lj, lj), ad.mul(on_lq, lq))
+        return ad.tsum(ad.add(ad.mul(on_f, f_var), score), axis=1)
 
 
 def _finish(per_item_surrogate, params, view, mask_prefixes=None):

@@ -407,12 +407,6 @@ class SigmoidBeliefNet(LatentModel):
         self.x_mean = x_mean
         self.x_bias = np.log(clamped / (1.0 - clamped))
 
-    def _map_names(self, kind, idx):
-        if self.nonlinear:
-            return [f"{kind}{idx}.w1", f"{kind}{idx}.b1", f"{kind}{idx}.w2",
-                    f"{kind}{idx}.b2", f"{kind}{idx}.w3", f"{kind}{idx}.b3"]
-        return [f"{kind}{idx}.w", f"{kind}{idx}.b"]
-
     def _init_map(self, rng, named, prefix, d_in, d_out):
         def glorot(fan_in, fan_out):
             lim = np.sqrt(6.0 / (fan_in + fan_out))

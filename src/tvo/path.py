@@ -129,21 +129,14 @@ def integrand_curve(model, params, x, betas, S, seed) -> IntegrandCurve:
     """
     from .estimators import build_weight_table  # deferred: estimators imports path
 
-    if isinstance(betas, PartitionSchedule):
-        betas = betas.betas
-    betas = np.asarray(betas, dtype=np.float64)
-    if np.any(betas < 0) or np.any(betas > 1):
-        raise DomainError("curve grid must lie inside [0, 1]")
     table = build_weight_table(model, params, x, S, betas, seed)
-    u = table.log_w  # U'(z_s) equals the log importance weight
     # averaged over contiguous per-knot rows, as np.mean reduces one knot's
     # estimates, so grid endpoints reproduce the mean ELBO/EUBO bit for bit
     g = table.g
     values = np.ascontiguousarray(g.T).mean(axis=1)
-    centered = u[:, None, :] - g[:, :, None]
-    var_hat = np.sum(table.norm_w ** 2 * centered ** 2, axis=2)
-    n = table.n_items
-    std_err = np.sqrt(var_hat.sum(axis=0)) / n
     if not np.all(np.isfinite(values)):
         raise DomainError("non-finite integrand estimate; weights degenerate on this grid")
-    return IntegrandCurve(betas, values, std_err)
+    # U'(z_s) equals the log importance weight
+    var_hat = np.sum(table.norm_w ** 2 * table.deviations(table.log_w, g) ** 2, axis=2)
+    std_err = np.sqrt(var_hat.sum(axis=0)) / table.n_items
+    return IntegrandCurve(table.betas, values, std_err)

@@ -186,7 +186,8 @@ def synthetic_dataset(kind, seed, d_x, n_train=1000, n_val=200, n_test=200,
     """Observations sampled from a frozen generator model.
 
     kind "toy" freezes a tabular generator (enumerable, so the exact data
-    log evidence is available); kind "sbn" freezes a sigmoid belief net.
+    log evidence is available); kind "sbn" freezes a sigmoid belief net;
+    kind "gaussian" the conjugate scalar Gaussian, which ignores d_x.
     """
     kwargs = dict(generator_kwargs or {})
     if kind == "toy":
@@ -199,6 +200,9 @@ def synthetic_dataset(kind, seed, d_x, n_train=1000, n_val=200, n_test=200,
         gen_params = gen.init_params(seed)
         scale = kwargs.get("weight_scale", 2.5)
         gen_params = gen_params.with_vector(gen_params.vector * scale)
+    elif kind == "gaussian":
+        gen = ConjugateGaussian()
+        gen_params = gen.init_params(seed)
     else:
         raise ConfigError(f"unknown synthetic dataset kind {kind!r}")
     rng = rng_stream(seed, 211)
@@ -295,14 +299,9 @@ def build_dataset(config: RunConfig) -> Dataset:
         data = synthetic_dataset("sbn", config.generator_seed, config.d_x,
                                  n_train=config.train_items, n_test=config.test_items)
     elif config.dataset == "gaussian":
-        gen = ConjugateGaussian()
-        gen_params = gen.init_params(config.generator_seed)
-        rng = rng_stream(config.generator_seed, 211)
-        x, _ = gen.sample_joint(gen_params, config.train_items + 2 * config.test_items, rng)
-        data = Dataset(train=x[:config.train_items],
-                       val=x[config.train_items:config.train_items + config.test_items],
-                       test=x[config.train_items + config.test_items:],
-                       generator=gen, generator_params=gen_params)
+        data = synthetic_dataset("gaussian", config.generator_seed, config.d_x,
+                                 n_train=config.train_items, n_val=config.test_items,
+                                 n_test=config.test_items)
     else:
         raise ConfigError(f"unknown dataset {config.dataset!r}")
     if config.limit:

@@ -321,6 +321,71 @@ def test_pass_through_gradients_are_not_written_through():
     assert np.max(np.abs(view["x"].grad - fd)) / max(1.0, np.max(np.abs(fd))) <= 1e-5
 
 
+def test_sub_passes_its_gradient_through_without_writing_it_through():
+    # sub hands its incoming gradient itself to its left parent; p's later
+    # second contribution must not land in s's slot
+    c = np.array([0.5, -1.5, 2.0])
+    tape = ad.Tape()
+    x = tape.leaf(np.array([0.3, -0.7, 1.1]))
+    p, r = ad.exp(x), ad.tanh(x)
+    m = ad.mul(p, c)
+    s = ad.sub(p, r)
+    ad.backward(ad.add(ad.tsum(ad.mul(s, s)), ad.tsum(m)))
+    np.testing.assert_array_equal(s.grad, 2.0 * s.value)
+    np.testing.assert_array_equal(p.grad, 2.0 * s.value + c)
+    np.testing.assert_array_equal(r.grad, -2.0 * s.value)
+
+
+def test_constant_arguments_are_neither_parents_nor_differentiated(monkeypatch):
+    called = []
+    record = ad._node
+
+    def spying(op, out, *pairs):  # logs (op, argument position) of every vjp called
+        return record(op, out, *[(arg, lambda g, i=i, vjp=vjp: called.append((op, i)) or vjp(g))
+                                 for i, (arg, vjp) in enumerate(pairs)])
+
+    monkeypatch.setattr(ad, "_node", spying)
+    rng = np.random.default_rng(5)
+    x, c = rng.normal(size=(4, 3)), rng.normal(size=(3, 2))
+    cases = [(lambda w, b: ad.affine(x, w, b), "affine", [1, 2]),
+             (lambda w, b: ad.mul(c, w), "mul", [1]), (lambda w, b: ad.mul(w, c), "mul", [0]),
+             (lambda w, b: ad.sub(c, w), "sub", [1]), (lambda w, b: ad.sub(w, c), "sub", [0])]
+    for build, op, live in cases:
+        tape = ad.Tape()
+        w, b = tape.leaf(rng.normal(size=(3, 2))), tape.leaf(rng.normal(size=2))
+        out = build(w, b)
+        assert out.op == op
+        assert out._parents == ((w, b) if op == "affine" else (w,))
+        called.clear()
+        ad.backward(ad.tsum(out))
+        assert sorted(i for o, i in called if o == op) == live
+
+
+def test_tape_free_calls_return_plain_arrays_and_record_nothing():
+    rng = np.random.default_rng(6)
+    tape = ad.Tape()
+    leaf = tape.leaf(rng.normal(size=(2, 3)))
+    a, w = leaf.value.copy(), rng.normal(size=(3, 2))
+    bits = (rng.random(size=(2, 3)) < 0.5).astype(np.float64)
+    calls = {
+        "add": lambda: ad.add(a, 1.0), "sub": lambda: ad.sub(1.0, a), "mul": lambda: ad.mul(a, a),
+        "div": lambda: ad.div(a, 2.0), "neg": lambda: ad.neg(a), "matmul": lambda: ad.matmul(a, w),
+        "affine": lambda: ad.affine(a, w, w[0]), "tsum": lambda: ad.tsum(a, axis=1),
+        "tmean": lambda: ad.tmean(a, axis=0), "exp": lambda: ad.exp(a),
+        "log": lambda: ad.log(np.abs(a)), "sigmoid": lambda: ad.sigmoid(a),
+        "tanh": lambda: ad.tanh(a), "log_sigmoid": lambda: ad.log_sigmoid(a),
+        "bernoulli_logpmf": lambda: ad.bernoulli_logpmf(bits, a),
+        "logsumexp": lambda: ad.logsumexp(a, axis=1), "log_softmax": lambda: ad.log_softmax(a),
+        "gather": lambda: ad.gather(a, [1, 0, 1]), "reshape": lambda: ad.reshape(a, (6,)),
+    }
+    others = {"TILE", "Tape", "Var", "backward", "value_of", "ParamVector",
+              "finite_difference_gradient", "value_and_grad", "random_check_network"}
+    assert set(calls) == set(ad.__all__) - others
+    for name, call in calls.items():
+        assert type(call()) is np.ndarray, name
+    assert tape.nodes == [leaf]
+
+
 def test_backward_linearity():
     def run(scale_a, scale_b):
         tape = ad.Tape()

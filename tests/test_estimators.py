@@ -107,12 +107,16 @@ def test_surrogate_coefficients_match_a_per_term_loop(K, side):
         np.testing.assert_array_equal(leaf.grad.view(np.uint64), ref.view(np.uint64))
 
 
-def test_zero_weight_samples_drop_out_of_the_integrand():
+def _zero_weight_toy():
     # p(x = 1 | z = 0) = 0, so every draw of z = 0 has log w = -inf
     model, params = random_toy(3, m=2, d_x=1)
     lik = params.as_dict()["theta/likelihood"].copy()
     lik[0, 1] = -np.inf
-    params = ad.ParamVector.build({**params.as_dict(), "theta/likelihood": lik})
+    return model, ad.ParamVector.build({**params.as_dict(), "theta/likelihood": lik})
+
+
+def test_zero_weight_samples_drop_out_of_the_integrand():
+    model, params = _zero_weight_toy()
     betas = np.array([0.0, 0.2, 0.6, 1.0])
     table = est.build_weight_table(model, params, np.array([1.0]), 50, betas, 0)
     dead = np.isneginf(table.log_w[0])
@@ -124,9 +128,47 @@ def test_zero_weight_samples_drop_out_of_the_integrand():
     assert table.g[0, 0] == -np.inf
     assert np.isfinite(tvo_upper(table, PartitionSchedule(betas)))
     assert np.isfinite(eubo_estimate(table))
-    with np.errstate(invalid="ignore"):  # the curve's standard errors still read nan here
-        curve = integrand_curve(model, params, np.array([1.0]), np.linspace(0.2, 1.0, 5), 50, 0)
+    curve = integrand_curve(model, params, np.array([1.0]), np.linspace(0.2, 1.0, 5), 50, 0)
     assert np.all(np.isfinite(curve.values))
+    assert np.all(np.isfinite(curve.std_errors))
+    for beta, g, se in zip(curve.betas, curve.values, curve.std_errors):
+        w = np.exp(beta * live - np.max(beta * live))
+        w /= w.sum()
+        assert g == pytest.approx(w @ live, rel=1e-14)
+        assert se == pytest.approx(np.sqrt(np.sum(w ** 2 * (live - w @ live) ** 2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["tvo_upper", "eubo"])
+def test_zero_weight_samples_leave_upper_bound_steps_finite(kind):
+    from tvo.objectives import ObjectiveSpec, training_step
+
+    model, params = _zero_weight_toy()
+    value, grad = training_step(ObjectiveSpec(kind, make_schedule(3), 50), model, params,
+                                np.array([1.0]), 0)
+    assert np.isfinite(value)
+    assert np.all(np.isfinite(grad.vector))
+
+
+def test_zero_weight_samples_get_zero_covariance_coefficients():
+    model, params = _zero_weight_toy()
+    betas = np.array([0.0, 0.2, 0.6, 1.0])
+    table = est.build_weight_table(model, params, np.array([1.0]), 50, betas, 0)
+    dead = np.isneginf(table.log_w[0])
+    assert 0 < dead.sum() < 50
+    log_w = table.log_w[:, ~dead]
+    live = est.WeightTable(betas=betas, log_w=log_w, norm_w=est.tempered_columns(log_w, betas),
+                           zs=table.zs[:, ~dead], x=table.x, seed=0, single=True)
+    for k in range(1, betas.size):
+        got = est.covariance_gradient(model, params, table.x, None, table, k).vector
+        want = est.covariance_gradient(model, params, table.x, None, live, k).vector
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    exact = est.exact_enumeration_gradient(model, params, np.array([1.0]), 0.5)
+    assert np.all(np.isfinite(exact.vector))
+    # at beta = 0 a dead sample keeps weight 1/S, so g(0) = -inf and the gradient aborts
+    from tvo.errors import NumericalError
+
+    with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
+        est.covariance_gradient(model, params, table.x, None, table, 0)
 
 
 def test_weight_table_seed_determinism():

@@ -412,3 +412,31 @@ def test_training_step_records_each_layer_as_one_affine_node(monkeypatch, case, 
     obj.training_step(spec, model, model.init_params(4), x, seed=11)
     assert ops["affine"] == affine
     assert ops["matmul"] == 0
+
+
+@pytest.mark.parametrize("case,kind", [("toy", "tvo_lower"), ("gaussian", "tvo_upper"),
+                                       ("linear_sbn", "tvo_lower"), ("sbn", "eubo"),
+                                       ("vae", "iwae")])
+def test_check_gradients_covers_every_op_a_training_step_records(monkeypatch, case, kind):
+    # tvo check-gradients differentiates random_check_network networks
+    fn, check_params = ad.random_check_network(0)
+    check_tape = ad.Tape()
+    fn(check_params.lift(check_tape))
+    checked = {node.op for node in check_tape.nodes if node._parents}
+    if case == "linear_sbn":
+        model = SigmoidBeliefNet(d_x=8, d_z=3, layers=2, nonlinear=False)
+        x = (np.random.default_rng(2).random((3, 8)) < 0.5).astype(np.float64)
+        params = model.init_params(4)
+    else:
+        model, params, x = _single_pass_case(case)
+    ops = set()
+    backward = est.backward
+
+    def recorded(out):
+        ops.update(node.op for node in out.tape.nodes if node._parents)
+        return backward(out)
+
+    monkeypatch.setattr(est, "backward", recorded)
+    spec = obj.ObjectiveSpec(kind, make_schedule(2, 0.3, "log"), S=5)
+    obj.training_step(spec, model, params, x, seed=11)
+    assert ops and ops <= checked, ops - checked
