@@ -19,9 +19,7 @@ from .objectives import (ObjectiveSpec, elbo_estimate, eubo_estimate,
                          tvo_lower, tvo_upper)
 from .oracles import (enumerate_states, gaussian_grid_reference, ti_identity_check,
                       variance_identity_check)
-from .path import (IntegrandCurve, PartitionSchedule, integrand_curve,
-                   log_unnormalized_path_density, make_schedule,
-                   potential_derivative)
+from .path import IntegrandCurve, PartitionSchedule, integrand_curve, make_schedule
 from .trainer import AdamState, RunConfig, adam_step, load_mnist, sweep, train
 
 __version__ = "0.1.0"

@@ -7,11 +7,18 @@ importance weight raised to beta, so re-tempering is a cheap re-normalization
 
 All weight arithmetic stays in log space; the normalized columns come from a
 log-sum-exp, never from exponentiating raw weights.
+
+Every score-function gradient (covariance, plain REINFORCE, the baselined
+estimator, every Riemann-sum training step and the discrete IWAE step)
+differentiates sum_s (a_s log p_s + b_s log q_s + c_s f_s) with detached
+per-sample coefficients. _score_coefficients computes them from the table, so
+the zero-weight rule holds for every estimator, and _score_surrogate is the
+one builder that records that sum on a tape.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -139,14 +146,6 @@ class WeightTable:
             dev[dead[:, None, :] & (self.betas[ks] > 0.0)[:, None]] = 0.0
         return dev
 
-    def expect(self, beta_index, f=None) -> np.ndarray:
-        """Per-item sum_s w_s^beta f(z_s) under one column, shape (B,).
-
-        f defaults to U' = log w, which reads the integrand estimate g(beta).
-        """
-        col = self.column(beta_index)  # validates the index
-        return self.g[:, beta_index] if f is None else np.einsum("bs,bs->b", col, f)
-
     def squeeze(self, per_item):
         per_item = np.asarray(per_item)
         return float(per_item[0]) if self.single else per_item
@@ -237,7 +236,8 @@ def expectation(table: WeightTable, beta_index, f_values):
         f = f[None, :]
     if f.shape != table.log_w.shape:
         raise ShapeError(f"f_values shape {f.shape} does not match table {table.log_w.shape}")
-    return table.squeeze(table.expect(beta_index, f))
+    table.column(beta_index)  # validates the index
+    return table.squeeze(table.contract(f, [beta_index])[:, 0])
 
 
 @dataclass
@@ -259,39 +259,42 @@ def _instantaneous_bound(model, view, x, zs):
     return ad.sub(lj, lq), lj, lq
 
 
-def _log_path(lj, lq, beta):
-    if beta == 0.0:
-        return lq
-    if beta == 1.0:
-        return lj
-    return ad.add(ad.mul(float(beta), lj), ad.mul(1.0 - float(beta), lq))
+def _score_coefficients(table, terms, f, mean=None):
+    """Detached per-sample coefficients (on log p, on log q, on f), each
+    (B, S), of the score-function surrogate summed over the (k, width) pairs
+    in `terms`.
 
-
-def _covariance_surrogate(table, terms, f_var, lj, lq):
-    """Per-datum scalar whose gradient is the sum over (k, width) in `terms`
-    of width * (E^_k[grad f] + Cov^_k[grad log pi~_k, f]), every expectation
-    under column k of `table`.
-
-    With every inner expectation taken from the same weight column, the
-    one-sided form E^[(f - E^ f) grad log pi~] equals the full covariance,
-    so a single detached coefficient per sample suffices. Each term is
-    linear in f and in log pi~_k = beta_k log p + (1 - beta_k) log q, so the
-    terms sum to one coefficient per sample on each of f, log p and log q:
-    the tape holds the same few nodes for any number of terms. The terms are
-    folded in order along a term axis, as a per-term loop would add them.
+    Term k is width * (E^_k[grad f] + E^_k[(f - mean_k) grad log pi~_k]),
+    every expectation under column k of `table`. log pi~_k = beta_k log p +
+    (1 - beta_k) log q is linear in log p and log q, so the terms sum to one
+    coefficient per sample on each, folded in order along a term axis, as a
+    per-term loop would add them. mean (B, T) defaults to E^_k[f] from the
+    same column, where the one-sided form equals the full covariance: the
+    covariance estimator. A zero-weight sample's deviation reads 0 where
+    beta > 0 (WeightTable.deviations). Without a beta > 0 the path density
+    is q alone and the log p coefficient is absent (None).
     """
     ks = [k for k, _ in terms]
     widths = np.array([width for _, width in terms])[:, None]
     betas = table.betas[ks]
-    f_det = value_of(f_var)
     weighted = widths * table.norm_w[:, ks]  # (B, T, S)
-    coeff = weighted * table.deviations(f_det, table.contract(f_det, ks), ks)
-    on_f = weighted.sum(axis=1)
+    if mean is None:
+        mean = table.contract(f, ks)
+    coeff = weighted * table.deviations(f, mean, ks)
+    if not betas.any():
+        return None, coeff.sum(axis=1), weighted.sum(axis=1)
     on_lj, on_lq = np.einsum("ct,bts->cbs", np.stack([betas, 1.0 - betas]), coeff)
+    return on_lj, on_lq, weighted.sum(axis=1)
+
+
+def _score_surrogate(pairs):
+    """Per-item sum_s of a_s v_s over the (detached coefficient a, Var v)
+    pairs: the scalar whose gradient is a score-function estimate. Records
+    one product per coefficient, the adds between them and one sum, in pair
+    order; an absent (None) coefficient records no node."""
     # only the gradient is read: a zero-weight sample's 0 * -inf makes the value nan
     with np.errstate(invalid="ignore"):
-        score = ad.add(ad.mul(on_lj, lj), ad.mul(on_lq, lq))
-        return ad.tsum(ad.add(ad.mul(on_f, f_var), score), axis=1)
+        return ad.tsum(reduce(ad.add, [ad.mul(a, v) for a, v in pairs if a is not None]), axis=1)
 
 
 def _finish(per_item_surrogate, params, view, mask_prefixes=None):
@@ -309,6 +312,17 @@ def _finish(per_item_surrogate, params, view, mask_prefixes=None):
     return grad
 
 
+def _table_gradient(model, params, f, table, beta_index, mean=None) -> np.ndarray:
+    """Score-function gradient at one knot, scoring the table's own batch on
+    a fresh tape; `mean` as in _score_coefficients."""
+    tape = Tape()
+    view = params.lift(tape)
+    u, lj, lq = _instantaneous_bound(model, view, table.x, table.zs)
+    f_var = u if f is None else f(view, table.x, table.zs)
+    coeffs = _score_coefficients(table, [(beta_index, 1.0)], value_of(f_var), mean)
+    return _finish(_score_surrogate(zip(coeffs, (lj, lq, f_var))), params, view)
+
+
 def covariance_gradient(model, params, x, f, table: WeightTable, beta_index) -> GradientEstimate:
     """Score-function gradient of E_pi_beta[f] with the built-in average baseline.
 
@@ -316,48 +330,37 @@ def covariance_gradient(model, params, x, f, table: WeightTable, beta_index) -> 
     under the same tempered column of `table` (nested sample reuse). Touches
     only the unnormalized path density, never its normalizing constant.
     """
-    tape = Tape()
-    view = params.lift(tape)
-    u, lj, lq = _instantaneous_bound(model, view, table.x, table.zs)
-    f_var = u if f is None else f(view, table.x, table.zs)
-    per_item = _covariance_surrogate(table, [(beta_index, 1.0)], f_var, lj, lq)
-    return GradientEstimate(_finish(per_item, params, view))
+    return GradientEstimate(_table_gradient(model, params, f, table, beta_index))
 
 
 def reinforce_gradient(model, params, x, f, table: WeightTable, beta_index) -> GradientEstimate:
     """Plain score-function estimate E^[grad f] + E^[f grad log q], no baseline.
 
     Only defined at beta = 0, where the path density is the normalized q and
-    the score of the normalizing constant vanishes.
+    the score of the normalizing constant vanishes: the covariance form with
+    mean 0.
     """
-    beta = float(table.betas[beta_index])
-    if beta != 0.0:
+    if table.betas[beta_index] != 0.0:
         raise UnsupportedEstimatorError(
             "plain REINFORCE needs the normalized path density, which is only "
             "tractable at beta = 0; use the covariance estimator instead")
-    tape = Tape()
-    view = params.lift(tape)
-    u, _, lq = _instantaneous_bound(model, view, table.x, table.zs)
-    f_var = u if f is None else f(view, table.x, table.zs)
-    wbar = table.column(beta_index)
-    coeff = wbar * value_of(f_var)
-    direct = ad.tsum(ad.mul(wbar, f_var), axis=1)
-    score = ad.tsum(ad.mul(coeff, lq), axis=1)
-    return GradientEstimate(_finish(ad.add(direct, score), params, view))
+    zero = np.zeros((table.n_items, 1))
+    return GradientEstimate(_table_gradient(model, params, f, table, beta_index, zero))
 
 
-def independent_inner_gradient(model, params, f, table: WeightTable, beta_index) -> np.ndarray:
+def reinforce_baseline_gradient(model, params, x, f, table: WeightTable, beta_index) -> GradientEstimate:
     """Two-sided score-function gradient with inner expectations from
     independent batches: E^_A[grad f] + E^_A[(f - b)(grad log pi~ - m)].
 
-    b = E^[f] and m = E^[grad log pi~] come from two separate auxiliary
-    batches (sharing one batch would correlate them and bias the estimate by
-    Cov/S). This is the no-reuse covariance form; the plain covariance
-    estimator is the fully reused special case.
+    The score of the normalized path density is grad log pi~ minus its
+    expectation m (the normalizer's gradient). m and the scalar baseline
+    b = E^[f] come from two separate auxiliary batches drawn with derived
+    seeds (sharing one batch would correlate them and bias the estimate by
+    Cov/S). This is the no-reuse covariance form; the covariance estimator
+    is the fully reused special case.
     """
-    beta = float(table.betas[beta_index])
-    seed_b = int(rng_stream(table.seed, _STREAM_BASELINE, 0).integers(2 ** 31))
-    seed_m = int(rng_stream(table.seed, _STREAM_BASELINE, 1).integers(2 ** 31))
+    seed_b, seed_m = (int(rng_stream(table.seed, _STREAM_BASELINE, i).integers(2 ** 31))
+                      for i in (0, 1))
     aux_b = build_weight_table(model, params, table.x, table.n_samples, table.betas, seed_b)
     if f is None:
         f_main, f_aux = table.log_w, aux_b.log_w
@@ -365,40 +368,19 @@ def independent_inner_gradient(model, params, f, table: WeightTable, beta_index)
         numeric = params.as_dict()
         f_main = np.asarray(value_of(f(numeric, table.x, table.zs)))
         f_aux = np.asarray(value_of(f(numeric, aux_b.x, aux_b.zs)))
-    wbar = table.column(beta_index)
-    baseline = aux_b.expect(beta_index, f_aux)[:, None]
-    resid = table.expect(beta_index, f_main)[:, None] - baseline  # E^_A[f] - b per datum
+    baseline = aux_b.contract(f_aux, [beta_index])
+    resid = table.contract(f_main, [beta_index]) - baseline  # E^_A[f] - b per datum, (B, 1)
+    grad = _table_gradient(model, params, f, table, beta_index, baseline)
 
+    # subtract (E^_A[f] - b) * E^_aux[grad log pi~]: the auxiliary batch is
+    # scored once, on its own tape, with coefficients on log p and log q only
     tape = Tape()
     view = params.lift(tape)
-    u, lj, lq = _instantaneous_bound(model, view, table.x, table.zs)
-    f_var = u if f is None else f(view, table.x, table.zs)
-    direct = ad.tsum(ad.mul(wbar, f_var), axis=1)
-    score = ad.tsum(ad.mul(wbar * (f_main - baseline), _log_path(lj, lq, beta)), axis=1)
-    grad = _finish(ad.add(direct, score), params, view)
-
-    # subtract (E^_A[f] - b) * E^_aux[grad log pi~], accumulated per datum;
-    # the auxiliary batch is scored once, on its own tape
-    tape_m = Tape()
-    view_m = params.lift(tape_m)
-    aux_m, _, lj_m, lq_m = _scored_table(model, params, view_m, table.x, table.n_samples,
-                                         table.betas, seed_m)
-    wbar_m = aux_m.column(beta_index)
-    corr = _finish(ad.tsum(ad.mul(wbar_m * resid, _log_path(lj_m, lq_m, beta)), axis=1),
-                   params, view_m)
-    return grad - corr
-
-
-def reinforce_baseline_gradient(model, params, x, f, table: WeightTable, beta_index) -> GradientEstimate:
-    """Score-function estimate with baselines from independent batches.
-
-    The score of the normalized path density is grad log pi~ minus its
-    expectation (the normalizer's gradient); that correction and the scalar
-    baseline E[f] are estimated from separate batches drawn with derived
-    seeds, which keeps this estimator distinct from the covariance
-    estimator's same-batch reuse.
-    """
-    return GradientEstimate(independent_inner_gradient(model, params, f, table, beta_index))
+    aux_m, _, lj, lq = _scored_table(model, params, view, table.x, table.n_samples,
+                                     table.betas, seed_m)
+    const = np.broadcast_to(resid, aux_m.log_w.shape)
+    on_lj, on_lq, _ = _score_coefficients(aux_m, [(beta_index, 1.0)], const, np.zeros_like(resid))
+    return GradientEstimate(grad - _finish(_score_surrogate([(on_lj, lj), (on_lq, lq)]), params, view))
 
 
 def reparam_gradient(model, params, x, objective, S, seed) -> GradientEstimate:

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape
+from .autodiff import Tape, value_of
 from .errors import ConfigError, DegenerateWeightsWarning, ShapeError
-from .estimators import (GradientEstimate, WeightTable, _covariance_surrogate,
-                         _finish, _scored_table, _STREAM_FRESH,
-                         _STREAM_SIMULATE, build_weight_table, reparam_gradient)
+from .estimators import (GradientEstimate, WeightTable, _finish, _score_coefficients,
+                         _score_surrogate, _scored_table, _STREAM_FRESH,
+                         _STREAM_SIMULATE, build_weight_table,
+                         reinforce_baseline_gradient, reparam_gradient)
 from .path import PartitionSchedule, make_schedule
 from .util import effective_sample_size, rng_stream
 
@@ -60,7 +61,7 @@ class ObjectiveSpec:
 
 def elbo_estimate(table: WeightTable):
     """Uniform average of U' over the proposal samples (the beta = 0 knot)."""
-    return table.squeeze(table.expect(table.beta_index(0.0)))
+    return table.squeeze(table.g[:, table.beta_index(0.0)])
 
 
 def eubo_estimate(table: WeightTable):
@@ -74,7 +75,7 @@ def eubo_estimate(table: WeightTable):
     if np.any(ess < 2.0):
         warnings.warn("effective sample size below 2 in the posterior-end column",
                       DegenerateWeightsWarning, stacklevel=2)
-    return table.squeeze(table.expect(k))
+    return table.squeeze(table.g[:, k])
 
 
 def _check_knots(table: WeightTable, schedule: PartitionSchedule):
@@ -178,7 +179,8 @@ def training_step(spec: ObjectiveSpec, model, params, x, seed, crn=True):
     view = params.lift(tape)
     shared, u, lj, lq = _scored_table(model, params, view, x, spec.S, spec.schedule.betas, seed)
     value = float(np.mean(np.asarray(objective_estimate(spec, shared))))
-    per_item = _covariance_surrogate(shared, _riemann_terms(spec), u, lj, lq)
+    coeffs = _score_coefficients(shared, _riemann_terms(spec), value_of(u))
+    per_item = _score_surrogate(zip(coeffs, (lj, lq, u)))
     return value, GradientEstimate(_finish(per_item, params, view, mask_prefixes=prefixes))
 
 
@@ -186,15 +188,13 @@ def _training_step_no_reuse(spec, model, params, x, seed, prefixes):
     """Common random numbers disabled: every Riemann term draws its own
     batch, and each term's inner expectations (its baselines) come from
     further independent batches. Same estimator family, no sample sharing."""
-    from .estimators import independent_inner_gradient
-
     value_table = build_weight_table(model, params, x, spec.S, spec.schedule.betas, seed)
     value = float(np.mean(np.asarray(objective_estimate(spec, value_table))))
     total = np.zeros(params.size)
     for i, (k, width) in enumerate(_riemann_terms(spec)):
         fresh_seed = int(rng_stream(seed, _STREAM_FRESH, i).integers(2 ** 31))
         table = build_weight_table(model, params, x, spec.S, spec.schedule.betas, fresh_seed)
-        total += width * independent_inner_gradient(model, params, None, table, k)
+        total += width * reinforce_baseline_gradient(model, params, x, None, table, k).vector
     return value, GradientEstimate(params.zero_outside(total, prefixes))
 
 
@@ -206,7 +206,7 @@ def _iwae_gradient(model, params, x, S, seed, prefixes):
     table, u, _, _ = _scored_table(model, params, view, x, S, np.array([0.0, 1.0]), seed)
     value = float(np.mean(iwae_estimate(table.log_w)))
     wbar = table.column(table.beta_index(1.0))
-    return value, _finish(ad.tsum(ad.mul(wbar, u), axis=1), params, view, mask_prefixes=prefixes)
+    return value, _finish(_score_surrogate([(wbar, u)]), params, view, mask_prefixes=prefixes)
 
 
 def training_gradient(spec: ObjectiveSpec, model, params, x, seed, crn=True) -> GradientEstimate:

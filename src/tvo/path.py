@@ -15,31 +15,6 @@ from .errors import DomainError, ShapeError
 from .util import write_csv, write_jsonl
 
 
-def potential_derivative(log_joint, log_q):
-    """U'(z) = log p(x,z) - log q(z|x). Rejects samples outside q's support."""
-    log_joint = np.asarray(log_joint, dtype=np.float64)
-    log_q = np.asarray(log_q, dtype=np.float64)
-    if np.any(log_q == -np.inf):
-        raise DomainError("log q(z|x) = -inf: proposal does not cover this sample")
-    out = log_joint - log_q
-    return float(out) if out.ndim == 0 else out
-
-
-def log_unnormalized_path_density(log_joint, log_q, beta):
-    """beta * log_joint + (1-beta) * log_q, exact at both endpoints."""
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta}")
-    log_joint = np.asarray(log_joint, dtype=np.float64)
-    log_q = np.asarray(log_q, dtype=np.float64)
-    if beta == 0.0:
-        out = log_q.copy()
-    elif beta == 1.0:
-        out = log_joint.copy()
-    else:
-        out = beta * log_joint + (1.0 - beta) * log_q
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class PartitionSchedule:
     """Ordered inverse-temperature grid 0 = beta_0 < ... < beta_K = 1."""

@@ -94,17 +94,23 @@ def test_surrogate_coefficients_match_a_per_term_loop(K, side):
                             zs=None, x=np.zeros((3, 1)), seed=0)
     shift = 0 if side == "lower" else 1
     terms = [(k + shift, float(w)) for k, w in enumerate(np.diff(betas))]
-    want = [0.0, 0.0, 0.0]
+    want = [0.0, 0.0, 0.0]  # on log p, on log q, on f
     for k, width in terms:
         wbar = table.norm_w[:, k, :]
         coeff = width * wbar * (f - np.einsum("bs,bs->b", wbar, f)[:, None])
-        want = [want[0] + width * wbar, want[1] + betas[k] * coeff,
-                want[2] + (1.0 - betas[k]) * coeff]
+        want = [want[0] + betas[k] * coeff, want[1] + (1.0 - betas[k]) * coeff,
+                want[2] + width * wbar]
     tape = ad.Tape()
-    leaves = [tape.leaf(v) for v in (f, log_w, log_w)]
-    ad.backward(ad.tsum(est._covariance_surrogate(table, terms, *leaves)))
-    for leaf, ref in zip(leaves, want):
-        np.testing.assert_array_equal(leaf.grad.view(np.uint64), ref.view(np.uint64))
+    leaves = [tape.leaf(v) for v in (log_w, log_w, f)]
+    coeffs = est._score_coefficients(table, terms, f)
+    ad.backward(ad.tsum(est._score_surrogate(zip(coeffs, leaves))))
+    # the lower K = 1 term sits at beta = 0: no log p coefficient, no log p node
+    assert (coeffs[0] is None) == (K == 1 and side == "lower")
+    for leaf, coeff, ref in zip(leaves, coeffs, want):
+        if coeff is not None:
+            np.testing.assert_array_equal(leaf.grad.view(np.uint64), ref.view(np.uint64))
+        else:
+            assert leaf.grad is None
 
 
 def _zero_weight_toy():
@@ -138,13 +144,15 @@ def test_zero_weight_samples_drop_out_of_the_integrand():
         assert se == pytest.approx(np.sqrt(np.sum(w ** 2 * (live - w @ live) ** 2)), rel=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["tvo_upper", "eubo"])
-def test_zero_weight_samples_leave_upper_bound_steps_finite(kind):
+@pytest.mark.parametrize("kind,crn", [("tvo_upper", True), ("eubo", True),
+                                      ("tvo_upper", False), ("eubo", False)],
+                         ids=["tvo_upper", "eubo", "tvo_upper-no-crn", "eubo-no-crn"])
+def test_zero_weight_samples_leave_upper_bound_steps_finite(kind, crn):
     from tvo.objectives import ObjectiveSpec, training_step
 
     model, params = _zero_weight_toy()
     value, grad = training_step(ObjectiveSpec(kind, make_schedule(3), 50), model, params,
-                                np.array([1.0]), 0)
+                                np.array([1.0]), 0, crn=crn)
     assert np.isfinite(value)
     assert np.all(np.isfinite(grad.vector))
 
@@ -169,6 +177,30 @@ def test_zero_weight_samples_get_zero_covariance_coefficients():
 
     with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
         est.covariance_gradient(model, params, table.x, None, table, 0)
+
+
+def _zero_weight_table():
+    model, params = _zero_weight_toy()
+    table = est.build_weight_table(model, params, np.array([1.0]), 50, np.array([0.0, 0.5, 1.0]), 0)
+    dead = np.isneginf(table.log_w[0])
+    assert 0 < dead.sum() < 50
+    return model, params, table, table.log_w[0, ~dead]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_zero_weight_samples_leave_the_baselined_gradient_finite(k):
+    model, params, table, _ = _zero_weight_table()
+    grad = est.reinforce_baseline_gradient(model, params, table.x, None, table, k)
+    assert np.all(np.isfinite(grad.vector))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_zero_weight_samples_drop_out_of_explicit_expectations(k):
+    _, _, table, live = _zero_weight_table()
+    got = est.expectation(table, k, table.log_w)
+    assert got == table.g[0, k]
+    w = np.exp(table.betas[k] * live - np.max(table.betas[k] * live))
+    assert got == pytest.approx(w @ live / w.sum(), rel=1e-12)
 
 
 def test_weight_table_seed_determinism():

@@ -334,7 +334,7 @@ def test_k50_step_and_curve_contract_no_knot_alone(monkeypatch, kind):
     # (B, K+1) integrand and its (B, K+1, S) columns whole, never knot by knot
     model, params, x = _single_pass_case("sbn")
     calls = Counter()
-    for name in ("expect", "column"):
+    for name in ("column",):
         def counted(self, *args, _method=getattr(est.WeightTable, name), _name=name, **kw):
             calls[_name] += 1
             return _method(self, *args, **kw)
@@ -343,6 +343,37 @@ def test_k50_step_and_curve_contract_no_knot_alone(monkeypatch, kind):
     obj.training_step(spec, model, params, x, seed=11)
     integrand_curve(model, params, x, np.linspace(0.0, 1.0, 51), 8, 3)
     assert calls == Counter()
+
+
+def _two_knot_table(model, params, x):
+    return build_weight_table(model, params, x, 8, np.array([0.0, 1.0]), 11)
+
+
+@pytest.mark.parametrize("run,calls", [
+    (lambda m, p, x: est.covariance_gradient(m, p, x, None, _two_knot_table(m, p, x), 1), 1),
+    (lambda m, p, x: est.reinforce_gradient(m, p, x, None, _two_knot_table(m, p, x), 0), 1),
+    (lambda m, p, x: est.reinforce_baseline_gradient(m, p, x, None, _two_knot_table(m, p, x), 1), 2),
+    (lambda m, p, x: obj.training_step(
+        obj.ObjectiveSpec("tvo_lower", make_schedule(3), S=8), m, p, x, seed=11), 1),
+    (lambda m, p, x: obj.training_step(
+        obj.ObjectiveSpec("tvo_upper", make_schedule(3), S=8), m, p, x, seed=11, crn=False), 6),
+    (lambda m, p, x: obj.training_step(obj.ObjectiveSpec("iwae", S=8), m, p, x, seed=11), 1),
+], ids=["covariance", "reinforce", "baselined", "crn-step", "no-crn-step-K3", "sbn-iwae"])
+def test_every_score_function_gradient_uses_the_one_surrogate_builder(monkeypatch, run, calls):
+    # one builder call per tape: the baselined estimator has a main and a
+    # correction tape, and a no-CRN step one baselined estimate per knot
+    model, params, x = _single_pass_case("sbn")
+    count = Counter()
+    build = est._score_surrogate
+
+    def counted(pairs):
+        count["build"] += 1
+        return build(pairs)
+
+    for module in (est, obj):
+        monkeypatch.setattr(module, "_score_surrogate", counted)
+    run(model, params, x)
+    assert count["build"] == calls
 
 
 @pytest.mark.parametrize("crn", [True, False])

@@ -8,48 +8,6 @@ from tvo.errors import DomainError
 from tvo.models import random_conjugate_gaussian, random_toy
 
 
-def test_potential_derivative_equal_logs():
-    assert path.potential_derivative(-10.0, -10.0) == 0.0
-
-
-def test_potential_derivative_difference():
-    assert path.potential_derivative(-8.0, -10.0) == 2.0
-
-
-def test_potential_derivative_rejects_empty_support():
-    with pytest.raises(DomainError):
-        path.potential_derivative(-8.0, -np.inf)
-
-
-def test_potential_derivative_matches_enumeration_tables():
-    model, params = random_toy(21, m=3, d_x=2)
-    x = np.array([1.0, 1.0])
-    enum = oracles.enumerate_states(model, params, x)
-    for z in range(model.n_z):
-        direct = path.potential_derivative(enum.log_joint[z], enum.log_q[z])
-        assert direct == pytest.approx(enum.u[z], abs=0)
-
-
-def test_path_density_endpoints_exact():
-    assert path.log_unnormalized_path_density(-8.0, -10.0, 0.0) == -10.0
-    assert path.log_unnormalized_path_density(-8.0, -10.0, 1.0) == -8.0
-
-
-def test_path_density_convex_combination():
-    assert path.log_unnormalized_path_density(-8.0, -10.0, 0.25) == pytest.approx(-9.5, abs=1e-15)
-
-
-def test_path_density_endpoint_handles_log_zero_joint():
-    # beta = 0 must return log q even when the joint has no support there
-    assert path.log_unnormalized_path_density(-np.inf, -10.0, 0.0) == -10.0
-
-
-@pytest.mark.parametrize("beta", [-0.1, 1.1, 2.0])
-def test_path_density_rejects_beta_outside_unit_interval(beta):
-    with pytest.raises(DomainError):
-        path.log_unnormalized_path_density(-8.0, -10.0, beta)
-
-
 # schedules -------------------------------------------------------------------
 
 
