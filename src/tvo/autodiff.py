@@ -13,9 +13,26 @@ its Var arguments, each with its own vjp, and a constant argument's vjp is
 never called. Model code is therefore written once and runs in both modes.
 Primitives are called by name (add, mul, matmul, ...): Var has no operator
 sugar, and ndarray <op> Var raises.
+
+Tape lifecycle. A Tape lives while its forward pass records and until its
+backward pass ends. backward then detaches every node (node.tape = None),
+which marks the tape finished and breaks the only reference cycle a tape
+has, Var -> Tape -> nodes -> Var. So whoever drops the last reference to
+the tape (in a training step, the function that built it, when it returns)
+frees the whole step (values, gradient slots and vjp closures) by reference
+counting, not at some later cyclic collection. A holder of the tape can
+still read tape.nodes in full, with each node's op, parents, value and grad.
+Freeing every step's arrays at once, though, lets the C allocator give the
+top of its heap back to the OS and fault it in again on the next step:
+thousands of page faults a step on the full-scale SBN. This module therefore
+keeps the last finished tape alive until the next backward ends, so each
+step's arrays are allocated while the previous step's are still held, and
+released into holes the step after reuses; the resident set stays at about
+two steps' tapes.
 """
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -36,17 +53,24 @@ __all__ = [
 # memory once per pass.
 TILE = 1 << 16
 
+# Holds the last tape that backward finished until the next backward ends
+# (see the module docstring); a fixed container, so backward rebinds no
+# module attribute.
+_finished = collections.deque(maxlen=1)
+
 
 class Tape:
-    """Append-only record of primitive operations."""
+    """Append-only record of primitive operations; finished once backward
+    has run on it, when its nodes no longer point back to it."""
 
-    __slots__ = ("nodes", "_backward_done")
+    __slots__ = ("nodes",)
 
     def __init__(self):
         self.nodes = []
-        self._backward_done = False
 
     def leaf(self, value, name=None) -> "Var":
+        if self.nodes and self.nodes[0].tape is None:
+            raise UsageError("backward already ran on this tape; build a fresh tape")
         return Var(self, _as_array(value), op=name or "leaf")
 
 
@@ -55,7 +79,7 @@ class Var:
 
     `_parents` are the Var arguments of the primitive that made the node, in
     argument order, and `_vjps` holds one vector-Jacobian product for each;
-    a leaf has neither.
+    a leaf has neither. `tape` is None once backward has run on the tape.
     """
 
     __slots__ = ("tape", "value", "grad", "op", "_parents", "_vjps")
@@ -124,11 +148,19 @@ def backward(out: Var) -> None:
     view of it, which other nodes' slots may share; such a borrowed slot is
     replaced by a new sum on its next contribution instead of being added to
     in place.
+
+    The pass ends by detaching every node from the tape (node.tape = None),
+    which finishes it: a second backward, a new leaf or a primitive on one
+    of its Vars raises UsageError. The detach breaks the Var <-> Tape cycle,
+    so the tape, with its values, slots and vjp closures, is freed by
+    reference counting as soon as its last holder drops it; tape.nodes stays
+    whole and readable for that holder. This module holds the finished tape
+    until the next backward ends (the module docstring says why).
     """
     if not isinstance(out, Var):
         raise UsageError("backward requires a Var produced by a forward evaluation")
     tape = out.tape
-    if tape._backward_done:
+    if tape is None:
         raise UsageError("backward already ran on this tape; build a fresh tape")
     if out.value.size != 1:
         raise UsageError(f"backward requires a scalar output, got shape {out.value.shape}")
@@ -149,12 +181,14 @@ def backward(out: Var) -> None:
             else:
                 parent.grad = parent.grad + pgrad
                 owned.add(id(parent))
-    tape._backward_done = True
+    for node in tape.nodes:
+        node.tape = None
+    _finished.append(tape)
 
 
 def grad_of(var: Var) -> np.ndarray:
     """Gradient slot of a leaf after backward; zeros if the leaf was unused."""
-    if not var.tape._backward_done:
+    if var.tape is not None:
         raise UsageError("gradient requested before backward ran on this tape")
     return var.grad if var.grad is not None else np.zeros_like(var.value)
 
@@ -168,7 +202,8 @@ def _node(op, out, *pairs):
     arguments among `pairs` of (argument, vjp for that argument), in order.
 
     Without a Var argument `out` comes back as it is. A constant argument
-    never becomes a parent, so its vjp is never called.
+    never becomes a parent, so its vjp is never called. Var arguments must
+    come from one tape that has not finished.
     """
     parents, vjps = [], []
     for arg, vjp in pairs:
@@ -177,7 +212,11 @@ def _node(op, out, *pairs):
             vjps.append(vjp)
     if not parents:
         return out
-    return Var(parents[0].tape, np.asarray(out), tuple(parents), tuple(vjps), op)
+    tape = parents[0].tape
+    if tape is None or any(p.tape is not tape for p in parents):
+        raise UsageError(f"{op}: every Var argument must come from one tape on which "
+                         "backward has not run")
+    return Var(tape, np.asarray(out), tuple(parents), tuple(vjps), op)
 
 
 def add(a, b):

@@ -126,24 +126,32 @@ class WeightTable:
         g.flags.writeable = False  # estimates read views of it
         return g
 
+    @cached_property
+    def dead(self):
+        """(mask of the dead samples, log w = -inf, (B, S); indices of the
+        rows holding one), or None when no sample is dead."""
+        mask = np.isneginf(self.log_w)
+        rows = np.flatnonzero(mask.any(axis=1))
+        return (mask, rows) if rows.size else None
+
     def contract(self, f, ks=slice(None)) -> np.ndarray:
         """sum_s w_s^beta f(z_s) per item at the knots `ks`, (B, T)."""
         w = self.norm_w[:, ks]
         out = np.einsum("bts,bs->bt", w, f)
-        dead = np.isneginf(self.log_w)
-        rows, hot = np.flatnonzero(dead.any(axis=1)), np.flatnonzero(self.betas[ks])
-        if rows.size and hot.size:  # redo those entries without the dead samples
-            live = np.where(dead[rows], 0.0, f[rows])
-            out[np.ix_(rows, hot)] = np.einsum("bts,bs->bt", w[np.ix_(rows, hot)], live)
+        if self.dead is not None:
+            mask, rows = self.dead
+            hot = np.flatnonzero(self.betas[ks])
+            if hot.size:  # redo those entries without the dead samples
+                live = np.where(mask[rows], 0.0, f[rows])
+                out[np.ix_(rows, hot)] = np.einsum("bts,bs->bt", w[np.ix_(rows, hot)], live)
         return out
 
     def deviations(self, f, mean, ks=slice(None)) -> np.ndarray:
         """f(z_s) - mean per item, knot of `ks` and sample, (B, T, S); a dead
         sample's deviation reads 0 where beta > 0."""
         dev = f[:, None, :] - mean[:, :, None]
-        dead = np.isneginf(self.log_w)
-        if dead.any():
-            dev[dead[:, None, :] & (self.betas[ks] > 0.0)[:, None]] = 0.0
+        if self.dead is not None:
+            dev[self.dead[0][:, None, :] & (self.betas[ks] > 0.0)[:, None]] = 0.0
         return dev
 
     def squeeze(self, per_item):

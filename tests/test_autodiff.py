@@ -451,6 +451,38 @@ def test_gradient_before_backward_rejected():
         ad.grad_of(a)
 
 
+def test_finished_tape_records_nothing_more():
+    tape = ad.Tape()
+    a = tape.leaf(np.array(1.5))
+    out = ad.mul(a, a)
+    ad.backward(out)
+    with pytest.raises(UsageError, match="mul"):
+        ad.mul(a, 2.0)
+    with pytest.raises(UsageError, match="exp"):
+        ad.exp(out)
+    with pytest.raises(UsageError):
+        tape.leaf(np.array(1.0))
+    assert len(tape.nodes) == 2
+
+
+def test_primitive_rejects_vars_of_two_tapes():
+    a, b = ad.Tape().leaf(np.array(1.0)), ad.Tape().leaf(np.array(2.0))
+    with pytest.raises(UsageError, match="add"):
+        ad.add(a, b)
+
+
+def test_finished_tape_nodes_stay_readable():
+    tape = ad.Tape()
+    a = tape.leaf(np.array([1.0, 2.0]), name="a")
+    out = ad.tsum(ad.mul(a, a))
+    ad.backward(out)
+    assert [node.op for node in tape.nodes] == ["a", "mul", "sum"]
+    assert tape.nodes[1]._parents == (a, a)
+    assert float(tape.nodes[2].value) == 5.0
+    np.testing.assert_array_equal(ad.grad_of(a), [2.0, 4.0])
+    assert all(node.tape is None for node in tape.nodes)
+
+
 # ParamVector ---------------------------------------------------------------
 
 

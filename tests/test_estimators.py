@@ -127,6 +127,8 @@ def test_zero_weight_samples_drop_out_of_the_integrand():
     table = est.build_weight_table(model, params, np.array([1.0]), 50, betas, 0)
     dead = np.isneginf(table.log_w[0])
     assert 0 < dead.sum() < 50
+    mask, rows = table.dead
+    assert np.array_equal(mask[0], dead) and rows.tolist() == [0]
     live = table.log_w[0, ~dead]
     for k, beta in enumerate(betas[1:], 1):
         w = np.exp(beta * live - np.max(beta * live))
@@ -166,6 +168,7 @@ def test_zero_weight_samples_get_zero_covariance_coefficients():
     log_w = table.log_w[:, ~dead]
     live = est.WeightTable(betas=betas, log_w=log_w, norm_w=est.tempered_columns(log_w, betas),
                            zs=table.zs[:, ~dead], x=table.x, seed=0, single=True)
+    assert live.dead is None
     for k in range(1, betas.size):
         got = est.covariance_gradient(model, params, table.x, None, table, k).vector
         want = est.covariance_gradient(model, params, table.x, None, live, k).vector

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 
 import numpy as np
@@ -471,3 +472,46 @@ def test_check_gradients_covers_every_op_a_training_step_records(monkeypatch, ca
     spec = obj.ObjectiveSpec(kind, make_schedule(2, 0.3, "log"), S=5)
     obj.training_step(spec, model, params, x, seed=11)
     assert ops and ops <= checked, ops - checked
+
+
+# tape lifetime ---------------------------------------------------------------
+
+
+def _lifetime_step(case):
+    """step(i) for one kind of training or gradient call."""
+    if case == "value_and_grad":
+        fn, params = ad.random_check_network(0)
+        return lambda i: ad.value_and_grad(fn, params)
+    if case == "vae_iwae":
+        model, kind = GaussianVAE(d_x=8, d_z=3), "iwae"
+    else:
+        model = SigmoidBeliefNet(d_x=64, d_z=12, layers=2, nonlinear=False)
+        kind = "iwae" if case == "discrete_iwae" else "tvo_lower"
+    x = (np.random.default_rng(2).random((4, model.d_x)) < 0.5).astype(np.float64)
+    params = model.init_params(4)
+    spec = obj.ObjectiveSpec(kind, make_schedule(2, 0.3, "log"), S=5)
+    return lambda i: obj.training_step(spec, model, params, x, seed=i, crn=case != "no_crn")
+
+
+def _live_tape_objects():
+    return sum(isinstance(o, (ad.Var, ad.Tape)) for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("case", ["crn_tvo_lower", "vae_iwae", "discrete_iwae", "no_crn",
+                                  "value_and_grad"])
+def test_each_step_frees_its_tape_without_the_cyclic_collector(case):
+    # with the collector off, a tape left in a reference cycle would stay
+    # alive: the count would grow by one tape per step
+    step = _lifetime_step(case)
+    gc.collect()
+    gc.disable()
+    try:
+        step(0)
+        after_one = _live_tape_objects()
+        for i in range(1, 5):
+            step(i)
+        after_five = _live_tape_objects()
+    finally:
+        gc.enable()
+    assert after_one > 0
+    assert after_five == after_one
