@@ -10,7 +10,8 @@ from .autodiff import (ParamVector, Tape, backward, finite_difference_gradient,
 from .estimators import (GradientEstimate, WeightTable, build_weight_table,
                          covariance_gradient, exact_weight_table, expectation,
                          gradient_std_diagnostic, reinforce_baseline_gradient,
-                         reinforce_gradient, reparam_gradient)
+                         reinforce_gradient, reparam_gradient, score_blocks,
+                         tempered_table)
 from .models import (ConjugateGaussian, GaussianVAE, LatentModel,
                      SigmoidBeliefNet, ToyBernoulli, load_checkpoint,
                      restore_params, save_checkpoint)

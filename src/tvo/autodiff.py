@@ -509,13 +509,13 @@ class ParamVector:
         return view
 
     def collect_grad(self, view) -> np.ndarray:
-        """Flat gradient aligned with this vector from a lifted view after backward."""
-        out = np.zeros(self.size)
+        """Flat gradient aligned with this vector from a lifted view after
+        backward; a leaf the output does not depend on reads zeros. Each
+        segment is written once, so the vector is never zero-filled first."""
+        out = np.empty(self.size)
         for n in self.names:
-            sl, _ = self._slices[n]
             g = view[n].grad
-            if g is not None:
-                out[sl] = g.ravel()
+            out[self._slices[n][0]] = 0.0 if g is None else g.ravel()
         return out
 
 

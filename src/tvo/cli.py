@@ -18,7 +18,7 @@ from .errors import (ConfigError, DomainError, FormatError, TvoError,
                      UnsupportedEstimatorError)
 from .estimators import (build_weight_table, gradient_std_diagnostic,
                          reinforce_baseline_gradient, reinforce_gradient,
-                         reparam_gradient)
+                         reparam_gradient, score_blocks, tempered_table)
 from .models import (load_checkpoint, random_conjugate_gaussian, random_toy,
                      restore_params)
 from .objectives import (ObjectiveSpec, elbo_estimate, eubo_estimate,
@@ -164,14 +164,21 @@ def cmd_eval(args) -> int:
     schedule = make_schedule(config.K, config.beta1, config.spacing)
     items = data.test[:config.eval_items]
     seed = int(rng_stream(config.seed, 5).integers(2 ** 31))
-    table = build_weight_table(model, params, items, config.eval_samples, schedule.betas, seed)
-    rows = [
-        ("elbo", float(np.mean(np.asarray(elbo_estimate(table))))),
-        ("eubo", float(np.mean(np.asarray(eubo_estimate(table))))),
-        ("iwae", float(np.mean(np.asarray(iwae_estimate(table.log_w))))),
-        ("tvo_lower", float(np.mean(np.asarray(tvo_lower(table, schedule))))),
-        ("tvo_upper", float(np.mean(np.asarray(tvo_upper(table, schedule))))),
-    ]
+    estimates = {
+        "elbo": elbo_estimate,
+        "eubo": eubo_estimate,
+        "iwae": lambda table: iwae_estimate(table.log_w),
+        "tvo_lower": lambda table: tvo_lower(table, schedule),
+        "tvo_upper": lambda table: tvo_upper(table, schedule),
+    }
+    # per-item estimates, one item block at a time: no block's latents or
+    # tempered columns outlive it
+    per_item = {name: [] for name in estimates}
+    for _, _, log_w in score_blocks(model, params, items, config.eval_samples, seed):
+        table = tempered_table(log_w, schedule)
+        for name, estimate in estimates.items():
+            per_item[name].append(estimate(table))
+    rows = [(name, float(np.mean(np.concatenate(v)))) for name, v in per_item.items()]
     for name, value in rows:
         print(f"{name} {value!r}")
     if args.out:

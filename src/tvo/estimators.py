@@ -159,14 +159,52 @@ class WeightTable:
         return float(per_item[0]) if self.single else per_item
 
 
+def tempered_table(log_w, schedule, zs=None, x=None, seed=0, single=False) -> WeightTable:
+    """The table of given (B, S) log weights, tempered at every knot."""
+    betas = _as_beta_grid(schedule)
+    return WeightTable(betas=betas, log_w=log_w, norm_w=tempered_columns(log_w, betas),
+                       zs=zs, x=x, seed=int(seed), single=single)
+
+
+def _check_support(log_w):
+    if np.any(np.all(log_w == -np.inf, axis=1)):
+        raise DegenerateWeightsError("all importance weights are zero for some observation")
+
+
+def score_blocks(model, params, x, S, seed, out=None):
+    """The tape-free block loop: yields (items, z, log w) for consecutive
+    blocks of max(1, BLOCK // S) items of x.
+
+    Each block's proposal noise is drawn just before the block is scored, so
+    a consumer that drops z holds one block's latents, whatever items x S.
+    The draws are the numbers build_weight_table draws at the same seed:
+    block by block in stream order (model.noise_blocks), into its slice of
+    `out` when given a model.noise_buffer. A block holding a row whose
+    weights are all zero raises DegenerateWeightsError: the proposal missed
+    the joint's support entirely.
+    """
+    if S < 1:
+        raise DomainError(f"need at least one sample, got S={S}")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[None, :]
+    view = params.as_dict()
+    rng = rng_stream(seed, _STREAM_SAMPLES)
+    for items, noise in model.noise_blocks(rng, x.shape[0], S, max(1, BLOCK // S), out):
+        z, lq = model.sample_q(view, x[items], noise)
+        log_w = np.subtract(model.log_joint(view, x[items], z), lq)
+        _check_support(log_w)
+        yield items, z, log_w
+
+
 def build_weight_table(model, params, x, S, schedule, seed) -> WeightTable:
-    """Draw z_s ~ q(.|x) once, score them under p and q, temper per knot.
+    """Draw z_s ~ q(.|x), score them under p and q, temper per knot.
 
     Identical seeds give bit-identical tables. A row whose weights are all
     zero means the proposal missed the joint's support entirely. Draws and
-    scores with plain arrays in item blocks of about BLOCK samples; a
-    training step makes the same call on a lifted view (_scored_table) and
-    differentiates that one forward pass.
+    scores with plain arrays in item blocks (score_blocks); a training step
+    makes the same call on a lifted view (_scored_table) and differentiates
+    that one forward pass.
     """
     return _scored_table(model, params, params.as_dict(), x, S, schedule, seed)[0]
 
@@ -174,13 +212,13 @@ def build_weight_table(model, params, x, S, schedule, seed) -> WeightTable:
 def _scored_table(model, params, view, x, S, schedule, seed):
     """build_weight_table scoring through `view`: (table, U', log p, log q).
 
-    The proposal noise is drawn once for all items; each sample_q call turns
-    it into z and log q with one inference-network pass. A lifted view is
-    drawn and scored as one block on its tape, so a training step
+    Each sample_q call turns proposal noise into z and log q with one
+    inference-network pass. A lifted view draws the noise of all items at
+    once and scores it as one block on its tape, so a training step
     differentiates the very forward pass that produced its weights, and the
-    three scores are Vars. A tape-free view is drawn and scored in blocks of
-    max(1, BLOCK // S) items into one log_w, and the three scores come back
-    as None.
+    three scores are Vars. A tape-free view is scored by score_blocks, which
+    draws each block into its slice of one batch of noise, and the three
+    scores come back as None.
 
     A table that fits one block (every training-size table) is bit-identical
     to the taped one at the same seed. Larger tables agree per item to about
@@ -194,28 +232,24 @@ def _scored_table(model, params, view, x, S, schedule, seed):
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    noise = model.proposal_noise(rng_stream(seed, _STREAM_SAMPLES), x.shape[0], S)
     if any(isinstance(v, ad.Var) for v in view.values()):
+        noise = model.proposal_noise(rng_stream(seed, _STREAM_SAMPLES), x.shape[0], S)
         zs, lq = model.sample_q(view, x, noise)
         lj = model.log_joint(view, x, zs)
         u = ad.sub(lj, lq)
         log_w = value_of(u)
+        _check_support(log_w)
     else:
+        noise = model.noise_buffer(x.shape[0], S)
         log_w = np.empty((x.shape[0], S))
-        step = max(1, BLOCK // S)
         blocks = []
-        for i in range(0, x.shape[0], step):
-            z, lq = model.sample_q(view, x[i:i + step], noise[i:i + step])
-            np.subtract(model.log_joint(view, x[i:i + step], z), lq, out=log_w[i:i + step])
+        for items, z, block in score_blocks(model, params, x, S, seed, noise):
+            log_w[items] = block
             blocks.append(z)
         # models with float latents draw z in place, leaving the batch in noise
         zs = noise if np.may_share_memory(blocks[0], noise) else np.concatenate(blocks)
         u = lj = lq = None
-    if np.any(np.all(log_w == -np.inf, axis=1)):
-        raise DegenerateWeightsError("all importance weights are zero for some observation")
-    table = WeightTable(betas=betas, log_w=log_w, norm_w=tempered_columns(log_w, betas),
-                        zs=zs, x=x, seed=int(seed), single=single)
-    return table, u, lj, lq
+    return tempered_table(log_w, betas, zs, x, seed, single), u, lj, lq
 
 
 def exact_weight_table(model, params, x, schedule) -> WeightTable:
@@ -320,12 +354,16 @@ def _finish(per_item_surrogate, params, view, mask_prefixes=None):
     return grad
 
 
-def _table_gradient(model, params, f, table, beta_index, mean=None) -> np.ndarray:
-    """Score-function gradient at one knot, scoring the table's own batch on
-    a fresh tape; `mean` as in _score_coefficients."""
-    tape = Tape()
-    view = params.lift(tape)
-    u, lj, lq = _instantaneous_bound(model, view, table.x, table.zs)
+def _table_gradient(model, params, f, table, beta_index, mean=None, scored=None) -> np.ndarray:
+    """Score-function gradient at one knot; `mean` as in _score_coefficients.
+    `scored` is the (lifted view, U', log p, log q) of a table taped by
+    _scored_table; without it the table's own batch is scored on a fresh
+    tape."""
+    if scored is None:
+        view = params.lift(Tape())
+        u, lj, lq = _instantaneous_bound(model, view, table.x, table.zs)
+    else:
+        view, u, lj, lq = scored
     f_var = u if f is None else f(view, table.x, table.zs)
     coeffs = _score_coefficients(table, [(beta_index, 1.0)], value_of(f_var), mean)
     return _finish(_score_surrogate(zip(coeffs, (lj, lq, f_var))), params, view)
@@ -356,7 +394,8 @@ def reinforce_gradient(model, params, x, f, table: WeightTable, beta_index) -> G
     return GradientEstimate(_table_gradient(model, params, f, table, beta_index, zero))
 
 
-def reinforce_baseline_gradient(model, params, x, f, table: WeightTable, beta_index) -> GradientEstimate:
+def reinforce_baseline_gradient(model, params, x, f, table: WeightTable, beta_index,
+                                scored=None) -> GradientEstimate:
     """Two-sided score-function gradient with inner expectations from
     independent batches: E^_A[grad f] + E^_A[(f - b)(grad log pi~ - m)].
 
@@ -365,7 +404,7 @@ def reinforce_baseline_gradient(model, params, x, f, table: WeightTable, beta_in
     b = E^[f] come from two separate auxiliary batches drawn with derived
     seeds (sharing one batch would correlate them and bias the estimate by
     Cov/S). This is the no-reuse covariance form; the covariance estimator
-    is the fully reused special case.
+    is the fully reused special case. `scored` as in _table_gradient.
     """
     seed_b, seed_m = (int(rng_stream(table.seed, _STREAM_BASELINE, i).integers(2 ** 31))
                       for i in (0, 1))
@@ -378,7 +417,7 @@ def reinforce_baseline_gradient(model, params, x, f, table: WeightTable, beta_in
         f_aux = np.asarray(value_of(f(numeric, aux_b.x, aux_b.zs)))
     baseline = aux_b.contract(f_aux, [beta_index])
     resid = table.contract(f_main, [beta_index]) - baseline  # E^_A[f] - b per datum, (B, 1)
-    grad = _table_gradient(model, params, f, table, beta_index, baseline)
+    grad = _table_gradient(model, params, f, table, beta_index, baseline, scored)
 
     # subtract (E^_A[f] - b) * E^_aux[grad log pi~]: the auxiliary batch is
     # scored once, on its own tape, with coefficients on log p and log q only

@@ -7,7 +7,12 @@ Conventions shared by every model:
   * log_joint / log_q take a parameter view (name -> array or Var) and return
     a (B, S) array, or Var when any parameter is lifted onto a tape;
   * proposal_noise(rng, B, S) draws the randomness of B x S proposal samples
-    with leading dims (B, S), so an item block of the batch is a slice of it;
+    with leading dims (B, S), so an item block of the batch is a slice of it.
+    noise_blocks(rng, B, S, step, out) yields the same numbers item block by
+    item block in stream order, each block drawn only when it is reached and
+    equal to its slice of the whole draw; given out = noise_buffer(B, S), the
+    uninitialized batch in the model's layout, it draws each block into its
+    slice of out;
   * sample_q(view, x, noise) runs the inference network once and returns
     (z, log q(z|x)) from the same logits or moments. z is a plain array even
     on a lifted view, so score-function estimators stay score-function
@@ -47,8 +52,24 @@ class LatentModel:
     def log_q(self, view, x, z):
         raise NotImplementedError
 
-    def proposal_noise(self, rng, B, S):
+    def noise_buffer(self, B, S):
         raise NotImplementedError
+
+    def draw_noise(self, rng, out):
+        """Fills `out`, a noise_buffer or an item slice of one, with the next
+        draws of rng; returns it."""
+        raise NotImplementedError
+
+    def proposal_noise(self, rng, B, S):
+        return self.draw_noise(rng, self.noise_buffer(B, S))
+
+    def noise_blocks(self, rng, B, S, step, out=None):
+        """(items, noise) per block of `step` items. An item-major layout
+        draws its blocks one after another from rng."""
+        for i in range(0, B, step):
+            items = slice(i, min(i + step, B))
+            block = self.noise_buffer(items.stop - i, S) if out is None else out[items]
+            yield items, self.draw_noise(rng, block)
 
     def sample_q(self, view, x, noise):
         raise NotImplementedError
@@ -149,8 +170,11 @@ class ToyBernoulli(LatentModel):
         flat = ad.reshape(prop, (self.n_x * self.n_z,))
         return ad.gather(flat, x_idx[:, None] * self.n_z + z)
 
-    def proposal_noise(self, rng, B, S):
-        return rng.random((B, S))
+    def noise_buffer(self, B, S):
+        return np.empty((B, S))
+
+    def draw_noise(self, rng, out):
+        return rng.random(out=out)
 
     def sample_q(self, view, x, noise):
         z = _categorical_rows(softmax(value_of(view["phi/proposal"]), axis=-1)[self._x_index(x)], noise)
@@ -237,8 +261,11 @@ class ConjugateGaussian(LatentModel):
         mean, log_std = self.q_mean_log_std(view, x)
         return _log_normal(z, mean, log_std)
 
-    def proposal_noise(self, rng, B, S):
-        return rng.normal(size=(B, S))
+    def noise_buffer(self, B, S):
+        return np.empty((B, S))
+
+    def draw_noise(self, rng, out):
+        return rng.standard_normal(out=out)
 
     def sample_q(self, view, x, noise):
         """Scales and shifts the normals in place: the returned z is `noise`."""
@@ -486,10 +513,30 @@ class SigmoidBeliefNet(LatentModel):
     def log_q(self, view, x, z):
         return self._q_pass(view, _check_binary(x), self._check_z(z), draw=False)
 
+    def noise_buffer(self, B, S):
+        return np.moveaxis(np.empty((self.layers, B, S, self.d_z)), 0, 2)
+
     def proposal_noise(self, rng, B, S):
         """One (layers, B, S, d_z) draw, in the stream order of one draw per
         layer, seen as (B, S, layers, d_z)."""
         return np.moveaxis(rng.random((self.layers, B, S, self.d_z)), 0, 2)
+
+    def noise_blocks(self, rng, B, S, step, out=None):
+        """Layer ell's uniforms start ell * B * S * d_z draws into the stream,
+        so each layer draws its blocks from its own generator, moved there
+        once per batch."""
+        gens = [rng]
+        for ell in range(1, self.layers):
+            bits = type(rng.bit_generator)(0)
+            bits.state = rng.bit_generator.state
+            bits.advance(ell * B * S * self.d_z)
+            gens.append(np.random.Generator(bits))
+        for i in range(0, B, step):
+            items = slice(i, min(i + step, B))
+            block = self.noise_buffer(items.stop - i, S) if out is None else out[items]
+            for gen, layer in zip(gens, np.moveaxis(block, 2, 0)):
+                gen.random(out=layer)
+            yield items, block
 
     def sample_q(self, view, x, noise):
         """Thresholds the uniforms in place: the returned z is `noise`."""
@@ -576,8 +623,11 @@ class GaussianVAE(LatentModel):
         mean, log_std = self.q_mean_log_std(view, x)
         return ad.tsum(_log_normal(z, mean, log_std), axis=-1)
 
-    def proposal_noise(self, rng, B, S):
-        return rng.normal(size=(B, S, self.d_z))
+    def noise_buffer(self, B, S):
+        return np.empty((B, S, self.d_z))
+
+    def draw_noise(self, rng, out):
+        return rng.standard_normal(out=out)
 
     def sample_q(self, view, x, noise):
         """Scales and shifts the normals in place: the returned z is `noise`."""

@@ -193,8 +193,11 @@ def _training_step_no_reuse(spec, model, params, x, seed, prefixes):
     total = np.zeros(params.size)
     for i, (k, width) in enumerate(_riemann_terms(spec)):
         fresh_seed = int(rng_stream(seed, _STREAM_FRESH, i).integers(2 ** 31))
-        table = build_weight_table(model, params, x, spec.S, spec.schedule.betas, fresh_seed)
-        total += width * reinforce_baseline_gradient(model, params, x, None, table, k).vector
+        # the term's batch is scored once, on the tape its gradient reads
+        view = params.lift(Tape())
+        table, *scores = _scored_table(model, params, view, x, spec.S, spec.schedule.betas, fresh_seed)
+        total += width * reinforce_baseline_gradient(model, params, x, None, table, k,
+                                                     (view, *scores)).vector
     return value, GradientEstimate(params.zero_outside(total, prefixes))
 
 

@@ -101,17 +101,25 @@ def integrand_curve(model, params, x, betas, S, seed) -> IntegrandCurve:
     One batch of S proposal samples per datum serves every grid point; only
     the tempered weights change along the grid. Standard errors use the
     self-normalized importance-sampling delta method, pooled over data items.
+    The batch is drawn, scored and tempered one item block at a time
+    (estimators.score_blocks), and each block is reduced to its items'
+    estimates and variances before the next is drawn, so neither the
+    batch's latents nor its (B, K+1, S) columns ever exist at once; the
+    result is the whole-table one bit for bit.
     """
-    from .estimators import build_weight_table  # deferred: estimators imports path
+    from .estimators import score_blocks, tempered_table  # deferred: estimators imports path
 
-    table = build_weight_table(model, params, x, S, betas, seed)
+    g, var_hat = [], []
+    for _, _, log_w in score_blocks(model, params, x, S, seed):
+        table = tempered_table(log_w, betas)
+        g.append(table.g)
+        # U'(z_s) equals the log importance weight
+        var_hat.append(np.sum(table.norm_w ** 2 * table.deviations(log_w, table.g) ** 2, axis=2))
+    g = np.concatenate(g)
     # averaged over contiguous per-knot rows, as np.mean reduces one knot's
     # estimates, so grid endpoints reproduce the mean ELBO/EUBO bit for bit
-    g = table.g
     values = np.ascontiguousarray(g.T).mean(axis=1)
     if not np.all(np.isfinite(values)):
         raise DomainError("non-finite integrand estimate; weights degenerate on this grid")
-    # U'(z_s) equals the log importance weight
-    var_hat = np.sum(table.norm_w ** 2 * table.deviations(table.log_w, g) ** 2, axis=2)
-    std_err = np.sqrt(var_hat.sum(axis=0)) / table.n_items
+    std_err = np.sqrt(np.concatenate(var_hat).sum(axis=0)) / g.shape[0]
     return IntegrandCurve(table.betas, values, std_err)

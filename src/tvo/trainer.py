@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import TILE, ParamVector
 from .errors import ConfigError, DomainError, FormatError, NumericalError, TvoError
-from .estimators import build_weight_table
+from .estimators import score_blocks, tempered_table
 from .models import (ConjugateGaussian, GaussianVAE, SigmoidBeliefNet,
                      ToyBernoulli, save_checkpoint)
 from .objectives import ObjectiveSpec, elbo_estimate, iwae_estimate, training_step
@@ -360,12 +360,20 @@ class TrainResult:
 
 
 def evaluate(model, params, items, S_eval, seed):
-    """(mean IWAE log-evidence, mean ELBO) over a fixed eval subset."""
-    # the ELBO reads only the uniform beta = 0 column and the IWAE only log_w
-    table = build_weight_table(model, params, items, S_eval, np.array([0.0]), seed)
-    iwae = float(np.mean(np.asarray(iwae_estimate(table.log_w))))
-    elbo = float(np.mean(np.asarray(elbo_estimate(table))))
-    return iwae, elbo
+    """(mean IWAE log-evidence, mean ELBO) over a fixed eval subset.
+
+    The items are drawn and scored block by block (score_blocks), and no
+    latent outlives its block: the IWAE reads each block's log_w as it
+    comes, and the ELBO only the uniform beta = 0 column of the batch's
+    log_w.
+    """
+    iwae, log_w = [], []
+    for _, _, block in score_blocks(model, params, items, S_eval, seed):
+        iwae.append(iwae_estimate(block))
+        log_w.append(block)
+    log_w = np.concatenate(log_w)  # drops the blocks before the column is filled
+    elbo = elbo_estimate(tempered_table(log_w, np.array([0.0])))
+    return float(np.mean(np.concatenate(iwae))), float(np.mean(np.asarray(elbo)))
 
 
 def train(config: RunConfig, data: Dataset = None) -> TrainResult:

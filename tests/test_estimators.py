@@ -13,6 +13,7 @@ from tvo.objectives import eubo_estimate, tvo_upper
 from tvo.path import PartitionSchedule, integrand_curve, make_schedule
 from tvo.models import (ConjugateGaussian, GaussianVAE, SigmoidBeliefNet,
                         ToyBernoulli, random_conjugate_gaussian, random_toy)
+from tvo.util import rng_stream
 
 SQRT3 = np.sqrt(3.0)
 
@@ -264,19 +265,35 @@ def test_blocked_table_matches_one_block_reference(model, rtol):
         np.testing.assert_allclose(got.log_w, want, rtol=rtol, atol=0.0)
 
 
-def test_blocked_table_draws_the_batch_once(monkeypatch):
-    model = SigmoidBeliefNet(d_x=16, d_z=5)
-    params = model.init_params(3)
-    calls = []
-    proposal_noise = model.proposal_noise
+_NOISE_MODELS = {
+    "toy": lambda: ToyBernoulli(m=2, d_x=1),
+    "conjugate": ConjugateGaussian,
+    "vae": lambda: GaussianVAE(d_x=16, d_z=3),
+    "sbn1": lambda: SigmoidBeliefNet(d_x=16, d_z=5, layers=1),
+    "sbn2": lambda: SigmoidBeliefNet(d_x=16, d_z=5, layers=2),
+    "sbn3": lambda: SigmoidBeliefNet(d_x=16, d_z=5, layers=3),
+}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return proposal_noise(*args, **kwargs)
 
-    monkeypatch.setattr(model, "proposal_noise", counted)
-    est.build_weight_table(model, params, _binary_items(6, 16), BLOCKED_S, [0.0, 1.0], 9)
-    assert len(calls) == 1
+@pytest.mark.parametrize("name", list(_NOISE_MODELS))
+@pytest.mark.parametrize("B,S", [(7, BLOCKED_S), (3, est.BLOCK + 76)],
+                         ids=["ragged-last-block", "one-item-blocks"])
+def test_block_noise_equals_the_batch_draw(name, B, S):
+    # each block is drawn only when it is reached, yet equals its slice of
+    # the whole-batch draw, whether or not it is drawn into a batch buffer
+    model = _NOISE_MODELS[name]()
+    step = max(1, est.BLOCK // S)
+    assert B % step != 0 if S <= est.BLOCK else step == 1
+    whole = model.proposal_noise(rng_stream(9, est._STREAM_SAMPLES), B, S)
+    out = model.noise_buffer(B, S)
+    for buffer in (None, out):
+        starts = []
+        for items, block in model.noise_blocks(rng_stream(9, est._STREAM_SAMPLES), B, S, step, buffer):
+            starts.append(items.start)
+            np.testing.assert_array_equal(block, whole[items])
+            assert buffer is None or np.shares_memory(block, buffer[items])
+        assert starts == list(range(0, B, step))
+    np.testing.assert_array_equal(out, whole)
 
 
 def test_multi_block_table_matches_the_one_block_draw(monkeypatch):
@@ -290,6 +307,124 @@ def test_multi_block_table_matches_the_one_block_draw(monkeypatch):
     whole = est.build_weight_table(model, params, x, BLOCKED_S, [0.0, 1.0], 9)
     np.testing.assert_array_equal(blocked.zs, whole.zs)
     np.testing.assert_array_equal(blocked.log_w, whole.log_w)
+
+
+# the streamed consumers against whole-table computations, bit for bit: a
+# nonlinear SBN and a VAE over ragged multi-block batches, and the zero-weight
+# toy, whose rows with x = 1 hold samples of log w = -inf
+def _streamed_case(name):
+    if name == "zero-weight-toy":
+        model, params = _zero_weight_toy()
+        return model, params, np.array([[1.0], [0.0], [1.0], [1.0], [0.0]]), np.linspace(0.2, 1.0, 5)
+    model = {"nonlinear-sbn": SigmoidBeliefNet(d_x=16, d_z=5, nonlinear=True),
+             "vae": GaussianVAE(d_x=16, d_z=3)}[name]
+    return model, model.init_params(4), _binary_items(5, 16, seed=3), np.linspace(0.0, 1.0, 51)
+
+
+STREAMED = ["nonlinear-sbn", "vae", "zero-weight-toy"]
+
+
+@pytest.mark.parametrize("name", STREAMED)
+def test_streamed_evaluate_matches_the_whole_table(name):
+    from tvo.objectives import elbo_estimate, iwae_estimate
+    from tvo.trainer import evaluate
+
+    model, params, x, _ = _streamed_case(name)
+    table = est.build_weight_table(model, params, x, BLOCKED_S, np.array([0.0, 1.0]), 21)
+    want = (float(np.mean(iwae_estimate(table.log_w))), float(np.mean(elbo_estimate(table))))
+    assert evaluate(model, params, x, BLOCKED_S, 21) == want
+
+
+@pytest.mark.parametrize("name", STREAMED)
+def test_streamed_curve_matches_the_whole_table(name):
+    model, params, x, grid = _streamed_case(name)
+    table = est.build_weight_table(model, params, x, BLOCKED_S, grid, 21)
+    values = np.ascontiguousarray(table.g.T).mean(axis=1)
+    var_hat = np.sum(table.norm_w ** 2 * table.deviations(table.log_w, table.g) ** 2, axis=2)
+    curve = integrand_curve(model, params, x, grid, BLOCKED_S, 21)
+    np.testing.assert_array_equal(curve.values, values)
+    np.testing.assert_array_equal(curve.std_errors, np.sqrt(var_hat.sum(axis=0)) / x.shape[0])
+    assert np.all(np.isfinite(curve.std_errors))
+
+
+@pytest.mark.parametrize("name", STREAMED)
+def test_streamed_tvo_eval_matches_the_whole_table(monkeypatch, capsys, name):
+    from tvo import cli
+    from tvo.objectives import (elbo_estimate, eubo_estimate, iwae_estimate, tvo_lower,
+                                tvo_upper)
+
+    model, params, x, _ = _streamed_case(name)
+    resolve = cli._resolve
+    monkeypatch.setattr(cli, "_resolve", lambda args: (*resolve(args)[:2], model, params))
+    scored = []
+    score_blocks = cli.score_blocks
+    monkeypatch.setattr(cli, "score_blocks", lambda *args: scored.append(args) or score_blocks(*args))
+    dataset = ["--dataset", "synthetic-toy", "--d-x", "1", "--m-latent", "2"] \
+        if name == "zero-weight-toy" else ["--model", "sbn", "--dataset", "synthetic-sbn", "--d-x", "16"]
+    assert cli.main(["eval", *dataset, "--eval-items", "5", "--eval-samples", str(BLOCKED_S),
+                     "--K", "3", "--seed", "4"]) == 0
+    printed = dict(line.split() for line in capsys.readouterr().out.strip().splitlines())
+    (_, _, items, S, seed), = scored
+    assert items.shape[0] * S > est.BLOCK
+    schedule = make_schedule(3, 0.3, "log")
+    table = est.build_weight_table(model, params, items, S, schedule, seed)
+    want = {"elbo": elbo_estimate(table), "eubo": eubo_estimate(table),
+            "iwae": iwae_estimate(table.log_w), "tvo_lower": tvo_lower(table, schedule),
+            "tvo_upper": tvo_upper(table, schedule)}
+    assert {k: float(v) for k, v in printed.items()} == {k: float(np.mean(v)) for k, v in want.items()}
+
+
+def test_streamed_consumers_raise_on_a_degenerate_block(capsys, monkeypatch):
+    # a batch whose last block has a row of zero weights raises like the
+    # whole table, and tvo eval reports it as a failed check
+    from tvo import cli
+    from tvo.trainer import evaluate
+
+    class NoSupportForOnes(SigmoidBeliefNet):
+        def log_joint(self, view, x, z):
+            lj = np.asarray(super().log_joint(view, x, z))
+            return np.where(x[:, :1] == 1.0, -np.inf, lj)
+
+    model = NoSupportForOnes(d_x=16, d_z=5)
+    params = model.init_params(4)
+    x = _binary_items(5, 16, seed=3)
+    x[:, 0] = 0.0
+    x[4, 0] = 1.0
+    with pytest.raises(DegenerateWeightsError):
+        est.build_weight_table(model, params, x, BLOCKED_S, [0.0, 1.0], 21)
+    with pytest.raises(DegenerateWeightsError):
+        evaluate(model, params, x, BLOCKED_S, 21)
+    with pytest.raises(DegenerateWeightsError):
+        integrand_curve(model, params, x, np.linspace(0.0, 1.0, 5), BLOCKED_S, 21)
+    resolve = cli._resolve
+    monkeypatch.setattr(cli, "_resolve", lambda args: (*resolve(args)[:2], model, params))
+    assert cli.main(["eval", "--model", "sbn", "--dataset", "synthetic-sbn", "--d-x", "16",
+                     "--eval-samples", str(BLOCKED_S)]) == 1
+    assert "all importance weights are zero" in capsys.readouterr().err
+
+
+def test_streamed_evaluate_holds_one_block_of_latents():
+    # a desk SBN evaluate at S = 500 peaks under 5 MB, and 200 more items
+    # (1e5 samples) raise the peak by at most 16 bytes a sample: the batch's
+    # log w and its uniform beta = 0 column, never its latents
+    import tracemalloc
+
+    from tvo.trainer import evaluate
+
+    model = SigmoidBeliefNet(d_x=64, d_z=12)
+    params = model.init_params(1)
+    x = _binary_items(400, 64)
+    evaluate(model, params, x[:2], 500, 0)
+    peaks = {}
+    for n in (200, 400):
+        tracemalloc.start()
+        try:
+            evaluate(model, params, x[:n], 500, 0)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200] < 5e6
+    assert peaks[400] - peaks[200] <= 16 * 200 * 500
 
 
 def _phi_rows(monkeypatch, run):
@@ -625,7 +760,6 @@ def test_reparam_matches_frozen_noise_finite_differences():
     seed = 31
     grad = est.reparam_gradient(model, params, x, "elbo", S=4, seed=seed).vector
 
-    from tvo.util import rng_stream
     eps = model.proposal_noise(rng_stream(seed, est._STREAM_SAMPLES), x.shape[0], 4)
 
     def objective(vec):
