@@ -2,7 +2,7 @@
 """SHA-256 fingerprints of training, evaluation and scoring outputs, to check
 that a change leaves every number bit-identical.
 
-    PYTHONPATH=src python3 scripts/fingerprint.py [--config desk full vae] [--dump DIR]
+    PYTHONPATH=src python3 scripts/fingerprint.py [--config desk full vae estimators] [--dump DIR]
 
 For each configuration of scripts/step_memory.py (desk, full, vae) it runs,
 in one process and from fixed parameters:
@@ -13,6 +13,16 @@ in one process and from fixed parameters:
   * one 51-knot integrand curve of 24 items (values and standard errors);
   * one build_weight_table of those 24 items at the evaluation S, which spans
     several item blocks (zs and log_w).
+The estimators configuration runs, on a toy model, a conjugate Gaussian, a
+3-layer nonlinear SBN and a Gaussian VAE (small, seeded; 6 items each):
+  * a training step (value and gradient) of every objective kind, with common
+    random numbers on and off (the discrete IWAE step on toy and SBN);
+  * the covariance, plain REINFORCE and baselined gradients on one table;
+  * the pathwise ELBO and IWAE gradients and their U' (VAE and Gaussian);
+  * a one-block and a multi-block build_weight_table (zs and log_w);
+  * one trainer.evaluate and one 11-knot integrand curve, both over several
+    item blocks;
+and then the value and gradient of autodiff.random_check_network seeds 0-49.
 It prints one JSON object: per configuration, the SHA-256 over those arrays'
 bytes, in that order, and the number of arrays. --dump DIR also writes each
 configuration's arrays to DIR/<config>.npz.
@@ -26,6 +36,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -33,10 +44,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from step_memory import CONFIGS, CURVE_ITEMS, GRID, build  # noqa: E402
-from tvo import estimators, objectives, path, trainer  # noqa: E402
+from tvo import autodiff, estimators, models, objectives, path, trainer  # noqa: E402
+from tvo.errors import DegenerateWeightsWarning  # noqa: E402
 
 STEPS = 3
 BATCH = 24
+ESTIMATOR_ITEMS = 6
+CHECK_NETWORKS = 50
 
 
 def outputs(name):
@@ -62,6 +76,60 @@ def outputs(name):
     return out
 
 
+def _binary_items(n, d_x, seed):
+    return (np.random.default_rng(seed).random((n, d_x)) < 0.5).astype(np.float64)
+
+
+def estimator_cases():
+    """(name, model, params, x) of the estimators configuration."""
+    toy, toy_params = models.random_toy(2, m=3, d_x=2)
+    toy_x, _ = toy.sample_joint(toy_params, ESTIMATOR_ITEMS, np.random.default_rng(5))
+    gauss, gauss_params, _ = models.random_conjugate_gaussian(3)
+    gauss_x = np.random.default_rng(6).normal(size=(ESTIMATOR_ITEMS, 1))
+    sbn = models.SigmoidBeliefNet(d_x=16, d_z=5, layers=3, nonlinear=True)
+    vae = models.GaussianVAE(d_x=16, d_z=3)
+    return [("toy", toy, toy_params, toy_x),
+            ("gaussian", gauss, gauss_params, gauss_x),
+            ("sbn3", sbn, sbn.init_params(4), _binary_items(ESTIMATOR_ITEMS, 16, 7)),
+            ("vae", vae, vae.init_params(4), _binary_items(ESTIMATOR_ITEMS, 16, 8))]
+
+
+def estimator_outputs():
+    """(label, array) pairs of the estimators configuration, in digest order."""
+    warnings.simplefilter("ignore", DegenerateWeightsWarning)  # small-S EUBO steps
+    schedule = path.make_schedule(3, 0.3, "log")
+    S_blocks = 2 * estimators.BLOCK // 5  # three item blocks of 6 items
+    out = []
+    for case, model, params, x in estimator_cases():
+        for kind in objectives.OBJECTIVE_KINDS:
+            spec = objectives.ObjectiveSpec(kind, None if kind == "iwae" else schedule, 8)
+            for crn in ((True,) if kind == "iwae" else (True, False)):
+                value, grad = objectives.training_step(spec, model, params, x, 11, crn=crn)
+                out += [(f"{case}.{kind}.crn{int(crn)}.value", np.float64(value)),
+                        (f"{case}.{kind}.crn{int(crn)}.grad", grad.vector)]
+        table = estimators.build_weight_table(model, params, x, 8, [0.0, 0.5, 1.0], 12)
+        for label, gradient, k in (("covariance", estimators.covariance_gradient, 1),
+                                   ("reinforce", estimators.reinforce_gradient, 0),
+                                   ("baselined", estimators.reinforce_baseline_gradient, 1)):
+            out.append((f"{case}.{label}", gradient(model, params, None, table, k).vector))
+        if model.latent == "continuous":
+            for objective in ("elbo", "iwae"):
+                est = estimators.reparam_gradient(model, params, x, objective, 8, 13)
+                out += [(f"{case}.reparam.{objective}.grad", est.vector),
+                        (f"{case}.reparam.{objective}.log_w", est.meta["log_w"])]
+        for label, S in (("one_block", 8), ("multi_block", S_blocks)):
+            table = estimators.build_weight_table(model, params, x, S, [0.0, 1.0], 14)
+            out += [(f"{case}.table.{label}.zs", table.zs), (f"{case}.table.{label}.log_w", table.log_w)]
+        out.append((f"{case}.evaluate", np.array(trainer.evaluate(model, params, x, S_blocks, 15))))
+        curve = path.integrand_curve(model, params, x, np.linspace(0.0, 1.0, 11), S_blocks, 16)
+        out += [(f"{case}.curve.values", curve.values), (f"{case}.curve.std_errors", curve.std_errors)]
+    for seed in range(CHECK_NETWORKS):
+        fn, params = autodiff.random_check_network(seed)
+        value, grad = autodiff.value_and_grad(fn, params)
+        out += [(f"network{seed}.value", np.float64(value)), (f"network{seed}.grad", grad)]
+    return out
+
+
 def digest(arrays):
     h = hashlib.sha256()
     for _, a in arrays:
@@ -71,13 +139,14 @@ def digest(arrays):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--config", nargs="+", choices=sorted(CONFIGS), default=["desk", "full", "vae"])
+    names = [*CONFIGS, "estimators"]
+    ap.add_argument("--config", nargs="+", choices=names, default=names)
     ap.add_argument("--dump", metavar="DIR", help="also write each configuration's arrays to DIR/<config>.npz")
     args = ap.parse_args()
 
     result = {}
     for name in args.config:
-        arrays = outputs(name)
+        arrays = estimator_outputs() if name == "estimators" else outputs(name)
         result[name] = {"sha256": digest(arrays), "arrays": len(arrays)}
         if args.dump:
             os.makedirs(args.dump, exist_ok=True)

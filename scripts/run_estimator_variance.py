@@ -32,10 +32,10 @@ def main():
                 return est.reparam_gradient(model, params, xb, "elbo", S, rep_seed)
             table = est.build_weight_table(model, params, xb, S, np.array([0.0, 1.0]), rep_seed)
             if kind == "cov":
-                return est.covariance_gradient(model, params, xb, None, table, 0)
+                return est.covariance_gradient(model, params, None, table, 0)
             if kind == "reinforce":
-                return est.reinforce_gradient(model, params, xb, None, table, 0)
-            return est.reinforce_baseline_gradient(model, params, xb, None, table, 0)
+                return est.reinforce_gradient(model, params, None, table, 0)
+            return est.reinforce_baseline_gradient(model, params, None, table, 0)
 
         return est.gradient_std_diagnostic(estimator, repetitions=args.reps, seed=seed)
 

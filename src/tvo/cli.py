@@ -174,7 +174,7 @@ def cmd_eval(args) -> int:
     # per-item estimates, one item block at a time: no block's latents or
     # tempered columns outlive it
     per_item = {name: [] for name in estimates}
-    for _, _, log_w in score_blocks(model, params, items, config.eval_samples, seed):
+    for _, _, log_w, _, _ in score_blocks(model, params.as_dict(), items, config.eval_samples, seed):
         table = tempered_table(log_w, schedule)
         for name, estimate in estimates.items():
             per_item[name].append(estimate(table))
@@ -244,7 +244,7 @@ def _std_for(args, config, estimator, S, data, model, params):
 
         def estimator_fn(rep_seed):
             table = build_weight_table(model, params, x_batch, S, np.array([0.0, 1.0]), rep_seed)
-            return grad_fn(model, params, x_batch, None, table, 0)
+            return grad_fn(model, params, None, table, 0)
     elif estimator == "reparam":
         def estimator_fn(rep_seed):
             return reparam_gradient(model, params, x_batch, "elbo", S, rep_seed)

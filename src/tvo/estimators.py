@@ -171,30 +171,33 @@ def _check_support(log_w):
         raise DegenerateWeightsError("all importance weights are zero for some observation")
 
 
-def score_blocks(model, params, x, S, seed, out=None):
-    """The tape-free block loop: yields (items, z, log w) for consecutive
-    blocks of max(1, BLOCK // S) items of x.
+def score_blocks(model, view, x, S, seed, step=None, out=None):
+    """The one loop that turns proposal noise into scores: yields
+    (items, z, U', log p, log q) for consecutive blocks of `step` items of x,
+    by default max(1, BLOCK // S).
 
-    Each block's proposal noise is drawn just before the block is scored, so
-    a consumer that drops z holds one block's latents, whatever items x S.
-    The draws are the numbers build_weight_table draws at the same seed:
-    block by block in stream order (model.noise_blocks), into its slice of
-    `out` when given a model.noise_buffer. A block holding a row whose
-    weights are all zero raises DegenerateWeightsError: the proposal missed
-    the joint's support entirely.
+    Each block's noise is drawn just before the block is scored, so a
+    consumer that drops z holds one block's latents, whatever items x S. The
+    draws are block by block in stream order (model.noise_blocks), into the
+    block's slice of `out` when given a model.noise_buffer. The scores are
+    Vars on a lifted view and plain arrays otherwise. A block holding a row
+    whose weights are all zero raises DegenerateWeightsError: the proposal
+    missed the joint's support entirely.
     """
     if S < 1:
         raise DomainError(f"need at least one sample, got S={S}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    view = params.as_dict()
+    if x.shape[0] == 0:
+        raise ShapeError("need at least one item to score")
     rng = rng_stream(seed, _STREAM_SAMPLES)
-    for items, noise in model.noise_blocks(rng, x.shape[0], S, max(1, BLOCK // S), out):
+    for items, noise in model.noise_blocks(rng, x.shape[0], S, step or max(1, BLOCK // S), out):
         z, lq = model.sample_q(view, x[items], noise)
-        log_w = np.subtract(model.log_joint(view, x[items], z), lq)
-        _check_support(log_w)
-        yield items, z, log_w
+        lj = model.log_joint(view, x[items], z)
+        u = ad.sub(lj, lq)
+        _check_support(value_of(u))
+        yield items, z, u, lj, lq
 
 
 def build_weight_table(model, params, x, S, schedule, seed) -> WeightTable:
@@ -212,42 +215,35 @@ def build_weight_table(model, params, x, S, schedule, seed) -> WeightTable:
 def _scored_table(model, params, view, x, S, schedule, seed):
     """build_weight_table scoring through `view`: (table, U', log p, log q).
 
-    Each sample_q call turns proposal noise into z and log q with one
-    inference-network pass. A lifted view draws the noise of all items at
-    once and scores it as one block on its tape, so a training step
+    score_blocks draws each block into its slice of one batch of noise. A
+    lifted view is scored as one block on its tape, so a training step
     differentiates the very forward pass that produced its weights, and the
-    three scores are Vars. A tape-free view is scored by score_blocks, which
-    draws each block into its slice of one batch of noise, and the three
-    scores come back as None.
+    three scores are Vars; a tape-free view is scored in item blocks, and
+    they come back as None.
 
     A table that fits one block (every training-size table) is bit-identical
     to the taped one at the same seed. Larger tables agree per item to about
     1e-16 relative: BLAS may round a row differently when the matrix it sits
     in has a different number of rows.
     """
-    if S < 1:
+    if S < 1:  # before the noise buffer is shaped
         raise DomainError(f"need at least one sample, got S={S}")
     betas = _as_beta_grid(schedule)
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if any(isinstance(v, ad.Var) for v in view.values()):
-        noise = model.proposal_noise(rng_stream(seed, _STREAM_SAMPLES), x.shape[0], S)
-        zs, lq = model.sample_q(view, x, noise)
-        lj = model.log_joint(view, x, zs)
-        u = ad.sub(lj, lq)
-        log_w = value_of(u)
-        _check_support(log_w)
-    else:
-        noise = model.noise_buffer(x.shape[0], S)
-        log_w = np.empty((x.shape[0], S))
-        blocks = []
-        for items, z, block in score_blocks(model, params, x, S, seed, noise):
-            log_w[items] = block
-            blocks.append(z)
-        # models with float latents draw z in place, leaving the batch in noise
-        zs = noise if np.may_share_memory(blocks[0], noise) else np.concatenate(blocks)
+    taped = any(isinstance(v, ad.Var) for v in view.values())
+    noise = model.noise_buffer(x.shape[0], S)
+    log_w = np.empty((x.shape[0], S))
+    blocks = []
+    step = x.shape[0] if taped else None
+    for items, z, u, lj, lq in score_blocks(model, view, x, S, seed, step, noise):
+        log_w[items] = value_of(u)
+        blocks.append(z)
+    # models with float latents draw z in place, leaving the batch in noise
+    zs = noise if np.may_share_memory(blocks[0], noise) else np.concatenate(blocks)
+    if not taped:
         u = lj = lq = None
     return tempered_table(log_w, betas, zs, x, seed, single), u, lj, lq
 
@@ -369,7 +365,7 @@ def _table_gradient(model, params, f, table, beta_index, mean=None, scored=None)
     return _finish(_score_surrogate(zip(coeffs, (lj, lq, f_var))), params, view)
 
 
-def covariance_gradient(model, params, x, f, table: WeightTable, beta_index) -> GradientEstimate:
+def covariance_gradient(model, params, f, table: WeightTable, beta_index) -> GradientEstimate:
     """Score-function gradient of E_pi_beta[f] with the built-in average baseline.
 
     grad = E^[grad f] + Cov^[grad log pi~_beta, f], every expectation taken
@@ -379,7 +375,7 @@ def covariance_gradient(model, params, x, f, table: WeightTable, beta_index) -> 
     return GradientEstimate(_table_gradient(model, params, f, table, beta_index))
 
 
-def reinforce_gradient(model, params, x, f, table: WeightTable, beta_index) -> GradientEstimate:
+def reinforce_gradient(model, params, f, table: WeightTable, beta_index) -> GradientEstimate:
     """Plain score-function estimate E^[grad f] + E^[f grad log q], no baseline.
 
     Only defined at beta = 0, where the path density is the normalized q and
@@ -394,7 +390,7 @@ def reinforce_gradient(model, params, x, f, table: WeightTable, beta_index) -> G
     return GradientEstimate(_table_gradient(model, params, f, table, beta_index, zero))
 
 
-def reinforce_baseline_gradient(model, params, x, f, table: WeightTable, beta_index,
+def reinforce_baseline_gradient(model, params, f, table: WeightTable, beta_index,
                                 scored=None) -> GradientEstimate:
     """Two-sided score-function gradient with inner expectations from
     independent batches: E^_A[grad f] + E^_A[(f - b)(grad log pi~ - m)].
@@ -434,17 +430,19 @@ def reparam_gradient(model, params, x, objective, S, seed) -> GradientEstimate:
     """Pathwise gradient through z = mean + std * eps for location-scale q.
 
     objective: "elbo" (mean of U' over samples) or "iwae" (log mean weight).
-    eps is the proposal_noise that build_weight_table draws at the same seed,
-    and reparam_sample returns log q from the encoder pass that made z: z,
-    and the taped U' values returned in meta["log_w"], are bit-identical to
-    that table's, so a training step takes its value from this one pass.
+    eps is the one block of noise_blocks that score_blocks draws for a
+    taped table at the same seed, and reparam_sample returns log q from the
+    encoder pass that made z: z, and the taped U' values returned in
+    meta["log_w"], are bit-identical to build_weight_table's at that seed, so
+    a training step takes its value from this one pass.
     """
     if getattr(model, "latent", "discrete") != "continuous" or not hasattr(model, "reparam_sample"):
         raise UnsupportedEstimatorError("reparameterization requires a location-scale continuous q")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    eps = model.proposal_noise(rng_stream(seed, _STREAM_SAMPLES), x.shape[0], S)
+    B = x.shape[0]
+    _, eps = next(model.noise_blocks(rng_stream(seed, _STREAM_SAMPLES), B, S, B))
     tape = Tape()
     view = params.lift(tape)
     z, lq = model.reparam_sample(view, x, eps)
@@ -461,7 +459,7 @@ def reparam_gradient(model, params, x, objective, S, seed) -> GradientEstimate:
 def exact_enumeration_gradient(model, params, x, beta, f=None) -> GradientEstimate:
     """Covariance-form gradient with exact path weights from enumeration."""
     table = exact_weight_table(model, params, x, np.array([float(beta)]))
-    return covariance_gradient(model, params, x, f, table, 0)
+    return covariance_gradient(model, params, f, table, 0)
 
 
 def gradient_std_diagnostic(estimator_fn, repetitions=10, seed=0) -> float:

@@ -6,13 +6,14 @@ Conventions shared by every model:
   * z is a batch of latent samples with shape (B, S, ...), model specific;
   * log_joint / log_q take a parameter view (name -> array or Var) and return
     a (B, S) array, or Var when any parameter is lifted onto a tape;
-  * proposal_noise(rng, B, S) draws the randomness of B x S proposal samples
-    with leading dims (B, S), so an item block of the batch is a slice of it.
-    noise_blocks(rng, B, S, step, out) yields the same numbers item block by
-    item block in stream order, each block drawn only when it is reached and
-    equal to its slice of the whole draw; given out = noise_buffer(B, S), the
-    uninitialized batch in the model's layout, it draws each block into its
-    slice of out;
+  * three methods draw the proposal's randomness. noise_buffer(B, S) is an
+    uninitialized batch of noise for B x S samples in the model's layout,
+    with leading dims (B, S), so an item block is a slice of it;
+    draw_noise(rng, out) fills such a buffer or slice with the next draws of
+    rng; noise_blocks(rng, B, S, step, out) yields (items, noise) per block
+    of `step` items, each drawn only when it is reached, into its slice of
+    `out` when given. A block's numbers do not depend on `step`: one block of
+    all B items is the whole batch's draw in stream order;
   * sample_q(view, x, noise) runs the inference network once and returns
     (z, log q(z|x)) from the same logits or moments. z is a plain array even
     on a lifted view, so score-function estimators stay score-function
@@ -38,8 +39,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class LatentModel:
-    """Contract shared by all models; see the module docstring for shapes and
-    for how proposal_noise and sample_q turn noise into (z, log q)."""
+    """Contract shared by all models; see the module docstring for shapes, for
+    the noise methods and for how sample_q turns noise into (z, log q).
+    estimators.score_blocks is the one loop that does so. A model whose noise
+    is item-major implements draw_noise and inherits noise_blocks."""
 
     latent = "discrete"
 
@@ -59,9 +62,6 @@ class LatentModel:
         """Fills `out`, a noise_buffer or an item slice of one, with the next
         draws of rng; returns it."""
         raise NotImplementedError
-
-    def proposal_noise(self, rng, B, S):
-        return self.draw_noise(rng, self.noise_buffer(B, S))
 
     def noise_blocks(self, rng, B, S, step, out=None):
         """(items, noise) per block of `step` items. An item-major layout
@@ -516,15 +516,11 @@ class SigmoidBeliefNet(LatentModel):
     def noise_buffer(self, B, S):
         return np.moveaxis(np.empty((self.layers, B, S, self.d_z)), 0, 2)
 
-    def proposal_noise(self, rng, B, S):
-        """One (layers, B, S, d_z) draw, in the stream order of one draw per
-        layer, seen as (B, S, layers, d_z)."""
-        return np.moveaxis(rng.random((self.layers, B, S, self.d_z)), 0, 2)
-
     def noise_blocks(self, rng, B, S, step, out=None):
-        """Layer ell's uniforms start ell * B * S * d_z draws into the stream,
-        so each layer draws its blocks from its own generator, moved there
-        once per batch."""
+        """The batch's stream is one (layers, B, S, d_z) draw of uniforms,
+        seen as (B, S, layers, d_z). Layer ell's start ell * B * S * d_z draws
+        into it, so each layer draws its blocks from its own generator, moved
+        there once per batch."""
         gens = [rng]
         for ell in range(1, self.layers):
             bits = type(rng.bit_generator)(0)

@@ -196,7 +196,7 @@ def _training_step_no_reuse(spec, model, params, x, seed, prefixes):
         # the term's batch is scored once, on the tape its gradient reads
         view = params.lift(Tape())
         table, *scores = _scored_table(model, params, view, x, spec.S, spec.schedule.betas, fresh_seed)
-        total += width * reinforce_baseline_gradient(model, params, x, None, table, k,
+        total += width * reinforce_baseline_gradient(model, params, None, table, k,
                                                      (view, *scores)).vector
     return value, GradientEstimate(params.zero_outside(total, prefixes))
 

@@ -110,7 +110,7 @@ def integrand_curve(model, params, x, betas, S, seed) -> IntegrandCurve:
     from .estimators import score_blocks, tempered_table  # deferred: estimators imports path
 
     g, var_hat = [], []
-    for _, _, log_w in score_blocks(model, params, x, S, seed):
+    for _, _, log_w, _, _ in score_blocks(model, params.as_dict(), x, S, seed):
         table = tempered_table(log_w, betas)
         g.append(table.g)
         # U'(z_s) equals the log importance weight

@@ -258,8 +258,13 @@ class RunConfig:
     allow_full_scale: bool = False
 
     def validate(self):
-        if min(self.S, self.batch, self.iters) < 1 or self.eval_samples < 1:
-            raise ConfigError("counts must be positive")
+        for name in ("S", "batch", "iters", "eval_samples", "eval_items", "train_items",
+                     "test_items"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("eval_interval", "grad_std_every", "limit"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must not be negative, got {getattr(self, name)}")
         if not self.allow_full_scale:
             for name, cap in DESK_CAPS.items():
                 if getattr(self, name) > cap:
@@ -368,7 +373,7 @@ def evaluate(model, params, items, S_eval, seed):
     log_w.
     """
     iwae, log_w = [], []
-    for _, _, block in score_blocks(model, params, items, S_eval, seed):
+    for _, _, block, _, _ in score_blocks(model, params.as_dict(), items, S_eval, seed):
         iwae.append(iwae_estimate(block))
         log_w.append(block)
     log_w = np.concatenate(log_w)  # drops the blocks before the column is filled

@@ -147,7 +147,7 @@ def test_c04_covariance_estimator_correctness():
         draws = []
         for i in range(100):
             table = build_weight_table(model, params, x[None, :], 1000, sched, seed=8800 + i)
-            draws.append(est.covariance_gradient(model, params, x[None, :], None, table, 1).vector)
+            draws.append(est.covariance_gradient(model, params, None, table, 1).vector)
         draws = np.stack(draws)
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
@@ -228,8 +228,8 @@ def test_c07_estimator_variance_ordering():
                 return est.reparam_gradient(model, params, xb, "elbo", S, rep_seed)
             table = build_weight_table(model, params, xb, S, np.array([0.0, 1.0]), rep_seed)
             if kind == "cov":
-                return est.covariance_gradient(model, params, xb, None, table, 0)
-            return est.reinforce_baseline_gradient(model, params, xb, None, table, 0)
+                return est.covariance_gradient(model, params, None, table, 0)
+            return est.reinforce_baseline_gradient(model, params, None, table, 0)
 
         return est.gradient_std_diagnostic(estimator, repetitions=10, seed=seed)
 

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from tvo.cli import main
 
@@ -234,6 +235,23 @@ def test_desk_caps_apply_to_every_run_subcommand(tmp_path):
     for argv in runs.values():
         assert run(argv + ["--eval-samples", "6000"]) == 2
         assert run(argv + ["--eval-samples", "6000", "--allow-full-scale"]) == 0
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("eval", "--eval-items", "0"),
+    ("export-curve", "--eval-items", "0"),
+    ("train", "--test-items", "0"),
+    ("train", "--train-items", "0"),
+    ("train", "--eval-interval", "-1"),
+    ("train", "--grad-std-every", "-1"),
+    ("train", "--limit", "-1"),
+], ids=lambda v: v.strip("-"))
+def test_empty_batches_and_negative_counts_are_config_errors(tmp_path, capsys, command, flag, value):
+    argv = [command, *TOY, "--iters", "2", "--eval-samples", "4", flag, value]
+    if command == "export-curve":
+        argv += ["--betas", "0,1", "--out", str(tmp_path / "curve.csv")]
+    assert run(argv) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
 
 def test_checkpoint_flag_only_where_it_is_read(tmp_path):

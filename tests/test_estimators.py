@@ -171,8 +171,8 @@ def test_zero_weight_samples_get_zero_covariance_coefficients():
                            zs=table.zs[:, ~dead], x=table.x, seed=0, single=True)
     assert live.dead is None
     for k in range(1, betas.size):
-        got = est.covariance_gradient(model, params, table.x, None, table, k).vector
-        want = est.covariance_gradient(model, params, table.x, None, live, k).vector
+        got = est.covariance_gradient(model, params, None, table, k).vector
+        want = est.covariance_gradient(model, params, None, live, k).vector
         np.testing.assert_allclose(got, want, rtol=1e-12)
     exact = est.exact_enumeration_gradient(model, params, np.array([1.0]), 0.5)
     assert np.all(np.isfinite(exact.vector))
@@ -180,7 +180,7 @@ def test_zero_weight_samples_get_zero_covariance_coefficients():
     from tvo.errors import NumericalError
 
     with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
-        est.covariance_gradient(model, params, table.x, None, table, 0)
+        est.covariance_gradient(model, params, None, table, 0)
 
 
 def _zero_weight_table():
@@ -194,7 +194,7 @@ def _zero_weight_table():
 @pytest.mark.parametrize("k", [1, 2])
 def test_zero_weight_samples_leave_the_baselined_gradient_finite(k):
     model, params, table, _ = _zero_weight_table()
-    grad = est.reinforce_baseline_gradient(model, params, table.x, None, table, k)
+    grad = est.reinforce_baseline_gradient(model, params, None, table, k)
     assert np.all(np.isfinite(grad.vector))
 
 
@@ -265,13 +265,21 @@ def test_blocked_table_matches_one_block_reference(model, rtol):
         np.testing.assert_allclose(got.log_w, want, rtol=rtol, atol=0.0)
 
 
+def _sbn_draw(model, rng, B, S):
+    # layer-major: one draw per layer, in order, seen as (B, S, layers, d_z)
+    return np.moveaxis(rng.random((model.layers, B, S, model.d_z)), 0, 2)
+
+
+# each model with its whole batch's draw in stream order, made here from the
+# generator's own calls
 _NOISE_MODELS = {
-    "toy": lambda: ToyBernoulli(m=2, d_x=1),
-    "conjugate": ConjugateGaussian,
-    "vae": lambda: GaussianVAE(d_x=16, d_z=3),
-    "sbn1": lambda: SigmoidBeliefNet(d_x=16, d_z=5, layers=1),
-    "sbn2": lambda: SigmoidBeliefNet(d_x=16, d_z=5, layers=2),
-    "sbn3": lambda: SigmoidBeliefNet(d_x=16, d_z=5, layers=3),
+    "toy": (lambda: ToyBernoulli(m=2, d_x=1), lambda m, rng, B, S: rng.random((B, S))),
+    "conjugate": (ConjugateGaussian, lambda m, rng, B, S: rng.standard_normal((B, S))),
+    "vae": (lambda: GaussianVAE(d_x=16, d_z=3),
+            lambda m, rng, B, S: rng.standard_normal((B, S, m.d_z))),
+    "sbn1": (lambda: SigmoidBeliefNet(d_x=16, d_z=5, layers=1), _sbn_draw),
+    "sbn2": (lambda: SigmoidBeliefNet(d_x=16, d_z=5, layers=2), _sbn_draw),
+    "sbn3": (lambda: SigmoidBeliefNet(d_x=16, d_z=5, layers=3), _sbn_draw),
 }
 
 
@@ -280,20 +288,24 @@ _NOISE_MODELS = {
                          ids=["ragged-last-block", "one-item-blocks"])
 def test_block_noise_equals_the_batch_draw(name, B, S):
     # each block is drawn only when it is reached, yet equals its slice of
-    # the whole-batch draw, whether or not it is drawn into a batch buffer
-    model = _NOISE_MODELS[name]()
-    step = max(1, est.BLOCK // S)
-    assert B % step != 0 if S <= est.BLOCK else step == 1
-    whole = model.proposal_noise(rng_stream(9, est._STREAM_SAMPLES), B, S)
-    out = model.noise_buffer(B, S)
-    for buffer in (None, out):
-        starts = []
-        for items, block in model.noise_blocks(rng_stream(9, est._STREAM_SAMPLES), B, S, step, buffer):
-            starts.append(items.start)
-            np.testing.assert_array_equal(block, whole[items])
-            assert buffer is None or np.shares_memory(block, buffer[items])
-        assert starts == list(range(0, B, step))
-    np.testing.assert_array_equal(out, whole)
+    # the whole-batch draw, whether or not it is drawn into a batch buffer;
+    # one block of B items, as a taped table draws it, is the whole draw
+    make, draw = _NOISE_MODELS[name]
+    model = make()
+    whole = draw(model, rng_stream(9, est._STREAM_SAMPLES), B, S)
+    blocked = max(1, est.BLOCK // S)
+    assert B % blocked != 0 if S <= est.BLOCK else blocked == 1
+    for step in (blocked, B):
+        out = model.noise_buffer(B, S)
+        for buffer in (None, out):
+            starts = []
+            for items, block in model.noise_blocks(rng_stream(9, est._STREAM_SAMPLES), B, S, step,
+                                                   buffer):
+                starts.append(items.start)
+                np.testing.assert_array_equal(block, whole[items])
+                assert buffer is None or np.shares_memory(block, buffer[items])
+            assert starts == list(range(0, B, step))
+        np.testing.assert_array_equal(out, whole)
 
 
 def test_multi_block_table_matches_the_one_block_draw(monkeypatch):
@@ -372,6 +384,23 @@ def test_streamed_tvo_eval_matches_the_whole_table(monkeypatch, capsys, name):
             "iwae": iwae_estimate(table.log_w), "tvo_lower": tvo_lower(table, schedule),
             "tvo_upper": tvo_upper(table, schedule)}
     assert {k: float(v) for k, v in printed.items()} == {k: float(np.mean(v)) for k, v in want.items()}
+
+
+def test_an_empty_batch_is_a_shape_error():
+    # every consumer of score_blocks, taped or not, refuses a batch of 0 items
+    from tvo.objectives import ObjectiveSpec, training_step
+    from tvo.trainer import evaluate
+
+    model = SigmoidBeliefNet(d_x=16, d_z=5)
+    params = model.init_params(4)
+    x = np.empty((0, 16))
+    calls = [lambda: est.build_weight_table(model, params, x, 4, [0.0, 1.0], 21),
+             lambda: evaluate(model, params, x, 4, 21),
+             lambda: integrand_curve(model, params, x, np.linspace(0.0, 1.0, 5), 4, 21),
+             lambda: training_step(ObjectiveSpec("elbo", S=4), model, params, x, 21)]
+    for call in calls:
+        with pytest.raises(ShapeError, match="at least one item"):
+            call()
 
 
 def test_streamed_consumers_raise_on_a_degenerate_block(capsys, monkeypatch):
@@ -594,7 +623,7 @@ def test_covariance_gradient_constant_f_is_zero():
         return ad.add(ad.tsum(ad.mul(view["theta/prior"], 0.0)), np.full((1, 12), 2.0))
 
     for k in range(3):
-        grad = est.covariance_gradient(model, params, x, f_const, table, k)
+        grad = est.covariance_gradient(model, params, f_const, table, k)
         np.testing.assert_allclose(grad.vector, 0.0, atol=1e-12)
 
 
@@ -620,7 +649,7 @@ def test_covariance_gradient_mean_matches_analytic_elbo_gradient():
 
     def draw(i):
         table = est.build_weight_table(model, params, xb, 500, np.array([0.0, 1.0]), 900 + i)
-        return est.covariance_gradient(model, params, xb, None, table, 0).vector
+        return est.covariance_gradient(model, params, None, table, 0).vector
 
     mean, se = mc_mean_se(draw, 200)
     assert np.all(np.abs(mean - exact) <= 3 * np.maximum(se, 1e-12))
@@ -637,7 +666,7 @@ def test_gradient_estimate_propagates_segment_name_on_nonfinite():
         return ad.add(np.zeros((1, 6)), blow_up)
 
     with pytest.raises(Exception, match="segment"):
-        est.covariance_gradient(model, params, x, f_bad, table, 1)
+        est.covariance_gradient(model, params, f_bad, table, 1)
 
 
 # reinforce family ------------------------------------------------------------
@@ -647,7 +676,7 @@ def test_reinforce_rejected_away_from_beta_zero():
     model, params, x = toy_setup()
     table = est.build_weight_table(model, params, x, 8, np.array([0.0, 0.5, 1.0]), 3)
     with pytest.raises(UnsupportedEstimatorError):
-        est.reinforce_gradient(model, params, x, None, table, 1)
+        est.reinforce_gradient(model, params, None, table, 1)
 
 
 def test_reinforce_baseline_constant_f_returns_grad_f_exactly():
@@ -662,12 +691,12 @@ def test_reinforce_baseline_constant_f_returns_grad_f_exactly():
     expected[params.mask("theta/prior_mean")] = np.exp(float(params.get("theta/prior_mean")))
     for beta_index in (0, 1):
         table = est.build_weight_table(model, params, xb, 30, np.array([0.0, 1.0]), 21)
-        grad = est.reinforce_baseline_gradient(model, params, xb, f_const_in_z, table, beta_index)
+        grad = est.reinforce_baseline_gradient(model, params, f_const_in_z, table, beta_index)
         np.testing.assert_allclose(grad.vector, expected, atol=1e-10)
 
     def draw(i):
         table = est.build_weight_table(model, params, xb, 30, np.array([0.0, 1.0]), 5000 + i)
-        return est.reinforce_baseline_gradient(model, params, xb, f_const_in_z, table, 0).vector
+        return est.reinforce_baseline_gradient(model, params, f_const_in_z, table, 0).vector
 
     mean, se = mc_mean_se(draw, 64)
     assert np.all(np.abs(mean - expected) <= 3 * np.maximum(se, 1e-12))
@@ -682,7 +711,7 @@ def test_reinforce_mean_matches_analytic_elbo_gradient():
 
     def draw(i):
         table = est.build_weight_table(model, params, xb, 10, np.array([0.0, 1.0]), 3000 + i)
-        return est.reinforce_gradient(model, params, xb, None, table, 0).vector
+        return est.reinforce_gradient(model, params, None, table, 0).vector
 
     mean, se = mc_mean_se(draw, 400)  # 1e5 estimates in chunks of 250
     assert np.all(np.abs(mean - exact) <= 3 * np.maximum(se, 1e-12))
@@ -697,7 +726,7 @@ def test_reinforce_baseline_mean_matches_analytic_elbo_gradient():
 
     def draw(i):
         table = est.build_weight_table(model, params, xb, 10, np.array([0.0, 1.0]), 4000 + i)
-        return est.reinforce_baseline_gradient(model, params, xb, None, table, 0).vector
+        return est.reinforce_baseline_gradient(model, params, None, table, 0).vector
 
     mean, se = mc_mean_se(draw, 400)
     assert np.all(np.abs(mean - exact) <= 3 * np.maximum(se, 1e-12))
@@ -712,10 +741,10 @@ def test_baseline_reduces_reinforce_variance_per_coordinate():
         return np.stack([fn(i) for i in range(n)])
 
     plain = draws(lambda i: est.reinforce_gradient(
-        model, params, xb, None,
+        model, params, None,
         est.build_weight_table(model, params, xb, 10, np.array([0.0, 1.0]), 7000 + i), 0).vector, 10_000)
     based = draws(lambda i: est.reinforce_baseline_gradient(
-        model, params, xb, None,
+        model, params, None,
         est.build_weight_table(model, params, xb, 10, np.array([0.0, 1.0]), 7000 + i), 0).vector, 10_000)
     var_plain = plain.var(axis=0, ddof=1)
     var_based = based.var(axis=0, ddof=1)
@@ -760,7 +789,7 @@ def test_reparam_matches_frozen_noise_finite_differences():
     seed = 31
     grad = est.reparam_gradient(model, params, x, "elbo", S=4, seed=seed).vector
 
-    eps = model.proposal_noise(rng_stream(seed, est._STREAM_SAMPLES), x.shape[0], 4)
+    _, eps = next(model.noise_blocks(rng_stream(seed, est._STREAM_SAMPLES), 1, 4, 1))
 
     def objective(vec):
         pv = params.with_vector(vec)
@@ -841,7 +870,7 @@ def test_grad_std_shrinks_like_root_s():
     def diagnostic(S):
         def estimator(rep_seed):
             table = est.build_weight_table(model, params, xb, S, np.array([0.0, 1.0]), rep_seed)
-            return est.covariance_gradient(model, params, xb, None, table, 0)
+            return est.covariance_gradient(model, params, None, table, 0)
 
         return est.gradient_std_diagnostic(estimator, repetitions=300, seed=123)
 
@@ -875,6 +904,6 @@ def test_gradient_estimates_are_seed_deterministic():
 
     def run():
         table = est.build_weight_table(model, params, x, 20, np.array([0.0, 0.5, 1.0]), 99)
-        return est.covariance_gradient(model, params, x, None, table, 1).vector
+        return est.covariance_gradient(model, params, None, table, 1).vector
 
     assert np.array_equal(run(), run())

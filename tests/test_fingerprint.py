@@ -6,20 +6,42 @@ import sys
 
 import numpy as np
 
+from tvo.estimators import BLOCK
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_fingerprint_of_the_desk_config_matches_its_dump(tmp_path):
+def fingerprint(config, dump):
+    """(digest of `config` as printed, its dumped arrays), run as a script."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     run = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "fingerprint.py"),
-                          "--config", "desk", "--dump", str(tmp_path)],
+                          "--config", config, "--dump", str(dump)],
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout)
-    assert list(result) == ["desk"] and result["desk"]["arrays"] == 3 * 5 + 5
-    dump = np.load(tmp_path / "desk.npz")
-    assert dump.files[-2:] == ["table.zs", "table.log_w"]
+    assert list(result) == [config]
+    arrays = np.load(dump / f"{config}.npz")
     h = hashlib.sha256()
-    for name in dump.files:
-        h.update(np.ascontiguousarray(dump[name]).tobytes())
-    assert h.hexdigest() == result["desk"]["sha256"]
+    for name in arrays.files:
+        h.update(np.ascontiguousarray(arrays[name]).tobytes())
+    assert h.hexdigest() == result[config]["sha256"]
+    assert len(arrays.files) == result[config]["arrays"]
+    return result[config], arrays
+
+
+def test_fingerprint_of_the_desk_config_matches_its_dump(tmp_path):
+    result, dump = fingerprint("desk", tmp_path)
+    assert result["arrays"] == 3 * 5 + 5
+    assert dump.files[-2:] == ["table.zs", "table.log_w"]
+
+
+def test_fingerprint_of_the_estimators_config_matches_its_dump(tmp_path):
+    _, dump = fingerprint("estimators", tmp_path)
+    cases = ("toy", "gaussian", "sbn3", "vae")
+    assert {name.split(".")[0] for name in dump.files} == {*cases, *(f"network{i}" for i in range(50))}
+    for case in cases:
+        assert {f"{case}.{kind}.crn0.grad" for kind in ("elbo", "eubo", "tvo_lower", "tvo_upper")} \
+            < set(dump.files)
+        assert dump[f"{case}.table.multi_block.log_w"].size > BLOCK  # several item blocks
+    assert {f"{case}.reparam.iwae.grad" for case in cases} & set(dump.files) \
+        == {"gaussian.reparam.iwae.grad", "vae.reparam.iwae.grad"}

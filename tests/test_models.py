@@ -9,6 +9,11 @@ from tvo.models import (ConjugateGaussian, GaussianVAE, SigmoidBeliefNet,
 from tvo.util import rng_stream
 
 
+def _batch_noise(model, rng, B, S):
+    """The whole batch's proposal noise: noise_blocks' one block of B items."""
+    return next(model.noise_blocks(rng, B, S, B))[1]
+
+
 def test_toy_uniform_tables_give_uniform_joint():
     model = ToyBernoulli(m=2, d_x=1)
     params = model.init_params(0)
@@ -90,7 +95,7 @@ def test_toy_sample_q_frequencies_match_density():
     model, params = random_toy(30, m=3, d_x=1)
     x = np.array([[1.0]])
     n = 100_000
-    zs, _ = model.sample_q(params.as_dict(), x, model.proposal_noise(rng_stream(5, 1), 1, n))
+    zs, _ = model.sample_q(params.as_dict(), x, _batch_noise(model, rng_stream(5, 1), 1, n))
     counts = np.bincount(zs[0], minlength=model.n_z)
     probs = np.exp(model.state_tables(params)[2])[1]  # x index 1
     freq = counts / n
@@ -113,7 +118,7 @@ def test_sbn_log_densities_finite_everywhere():
     params = model.init_params(7)
     x, _ = model.sample_joint(params, 4, rng)
     view = params.as_dict()
-    zs, lq_drawn = model.sample_q(view, x, model.proposal_noise(rng, 4, 6))
+    zs, lq_drawn = model.sample_q(view, x, _batch_noise(model, rng, 4, 6))
     lj = np.asarray(model.log_joint(view, x, zs))
     lq = np.asarray(model.log_q(view, x, zs))
     assert lj.shape == (4, 6) and lq.shape == (4, 6)
@@ -125,7 +130,7 @@ def test_sbn_nonlinear_variant_runs():
     model = SigmoidBeliefNet(d_x=8, d_z=4, layers=2, nonlinear=True)
     params = model.init_params(3)
     x, _ = model.sample_joint(params, 2, rng_stream(1, 1))
-    zs, _ = model.sample_q(params.as_dict(), x, model.proposal_noise(rng_stream(1, 2), 2, 3))
+    zs, _ = model.sample_q(params.as_dict(), x, _batch_noise(model, rng_stream(1, 2), 2, 3))
     lj = np.asarray(model.log_joint(params.as_dict(), x, zs))
     assert np.all(np.isfinite(lj))
 
@@ -136,7 +141,7 @@ def test_vae_log_densities_finite_for_sampled_latents():
     rng = rng_stream(11, 3)
     x, _ = model.sample_joint(params, 3, rng)
     view = params.as_dict()
-    zs, lq_drawn = model.sample_q(view, x, model.proposal_noise(rng, 3, 5))
+    zs, lq_drawn = model.sample_q(view, x, _batch_noise(model, rng, 3, 5))
     lq = np.asarray(model.log_q(view, x, zs))
     assert np.all(np.isfinite(np.asarray(model.log_joint(view, x, zs))))
     assert np.all(np.isfinite(lq))

@@ -211,7 +211,7 @@ def test_vi_mode_reduces_to_masked_covariance_gradient():
     seed = 77
     grad = obj.training_gradient(spec, model, params, x, seed)
     table = build_weight_table(model, params, x, 16, spec.schedule.betas, seed)
-    direct = covariance_gradient(model, params, x, None, table, 0).vector
+    direct = covariance_gradient(model, params, None, table, 0).vector
     masked = np.where(params.mask("phi/"), direct, 0.0)
     np.testing.assert_array_equal(grad.vector, masked)
     assert np.all(grad.vector[params.mask("theta/")] == 0.0)
@@ -246,7 +246,7 @@ def test_tvo_training_gradient_exact_matches_finite_differences():
     table = exact_weight_table(model, params, x, sched.betas)
     grad = np.zeros(params.size)
     for k, width in enumerate(sched.widths):
-        grad += width * covariance_gradient(model, params, x, None, table, k).vector
+        grad += width * covariance_gradient(model, params, None, table, k).vector
     fd = oracles.exact_objective_gradient(model, params, x, sched, "tvo_lower")
     rel = np.max(np.abs(grad - fd)) / max(1.0, np.max(np.abs(fd)))
     assert rel <= 1e-6
@@ -351,9 +351,9 @@ def _two_knot_table(model, params, x):
 
 
 @pytest.mark.parametrize("run,calls", [
-    (lambda m, p, x: est.covariance_gradient(m, p, x, None, _two_knot_table(m, p, x), 1), 1),
-    (lambda m, p, x: est.reinforce_gradient(m, p, x, None, _two_knot_table(m, p, x), 0), 1),
-    (lambda m, p, x: est.reinforce_baseline_gradient(m, p, x, None, _two_knot_table(m, p, x), 1), 2),
+    (lambda m, p, x: est.covariance_gradient(m, p, None, _two_knot_table(m, p, x), 1), 1),
+    (lambda m, p, x: est.reinforce_gradient(m, p, None, _two_knot_table(m, p, x), 0), 1),
+    (lambda m, p, x: est.reinforce_baseline_gradient(m, p, None, _two_knot_table(m, p, x), 1), 2),
     (lambda m, p, x: obj.training_step(
         obj.ObjectiveSpec("tvo_lower", make_schedule(3), S=8), m, p, x, seed=11), 1),
     (lambda m, p, x: obj.training_step(
@@ -393,7 +393,7 @@ def test_crn_training_gradient_sums_the_term_gradients(kind):
     model, params, x = _single_pass_case("sbn")
     spec = obj.ObjectiveSpec(kind, make_schedule(3, 0.1, "log"), S=8)
     table = build_weight_table(model, params, x, 8, spec.schedule.betas, 11)
-    want = sum(width * covariance_gradient(model, params, x, None, table, k).vector
+    want = sum(width * covariance_gradient(model, params, None, table, k).vector
                for k, width in obj._riemann_terms(spec))
     got = obj.training_gradient(spec, model, params, x, seed=11).vector
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
@@ -404,7 +404,9 @@ def test_lifted_sample_q_returns_a_plain_z(case):
     # z stays data on the tape: only log q carries the parameters
     model, params, x = _single_pass_case(case)
     view = params.lift(ad.Tape())
-    z, lq = model.sample_q(view, x, model.proposal_noise(np.random.default_rng(0), x.shape[0], 4))
+    B = x.shape[0]
+    _, noise = next(model.noise_blocks(np.random.default_rng(0), B, 4, B))
+    z, lq = model.sample_q(view, x, noise)
     assert type(z) is np.ndarray
     assert isinstance(lq, ad.Var)
 
@@ -417,7 +419,7 @@ def test_crn_gradient_of_continuous_models_is_score_function(case):
     model, params, x = _single_pass_case(case)
     spec = obj.ObjectiveSpec("tvo_lower", make_schedule(3, 0.1, "log"), S=8)
     table = build_weight_table(model, params, x, 8, spec.schedule.betas, 11)
-    want = sum(width * covariance_gradient(model, params, x, None, table, k).vector
+    want = sum(width * covariance_gradient(model, params, None, table, k).vector
                for k, width in obj._riemann_terms(spec))
     got = obj.training_gradient(spec, model, params, x, seed=11).vector
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)

@@ -100,6 +100,16 @@ def test_gaussian_oracle_pair_cross_agreement():
 
 
 @pytest.mark.parametrize("seed", range(10))
+def test_gaussian_bound_closed_forms_are_the_integrand_endpoints(seed):
+    # ELBO = log p - KL(q || post) = g(0) and EUBO = log p + KL(post || q) = g(1),
+    # from two independent closed forms
+    model, params, x = random_conjugate_gaussian(seed)
+    g0, g1 = model.analytic_g(params, x, [0.0, 1.0])
+    assert abs(model.analytic_elbo(params, x) - g0) <= 1e-12 * abs(g0)
+    assert abs(model.analytic_eubo(params, x) - g1) <= 1e-12 * abs(g1)
+
+
+@pytest.mark.parametrize("seed", range(10))
 def test_exact_integrand_nondecreasing_everywhere(seed):
     model, params = random_toy(seed + 400, m=3, d_x=2)
     x, _ = model.sample_joint(params, 1, np.random.default_rng(seed))
