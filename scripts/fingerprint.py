@@ -22,7 +22,9 @@ The estimators configuration runs, on a toy model, a conjugate Gaussian, a
   * a one-block and a multi-block build_weight_table (zs and log_w);
   * one trainer.evaluate and one 11-knot integrand curve, both over several
     item blocks;
-and then the value and gradient of autodiff.random_check_network seeds 0-49.
+then the five estimates of a `tvo eval` run on a small synthetic SBN whose
+samples span several item blocks, read back from its eval.csv, and the value
+and gradient of autodiff.random_check_network seeds 0-49.
 It prints one JSON object: per configuration, the SHA-256 over those arrays'
 bytes, in that order, and the number of arrays. --dump DIR also writes each
 configuration's arrays to DIR/<config>.npz.
@@ -32,10 +34,14 @@ on one host, never against a stored digest. BLAS runs on one thread, pinned
 before numpy is imported.
 """
 import argparse
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
+import tempfile
 import warnings
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -44,7 +50,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from step_memory import CONFIGS, CURVE_ITEMS, GRID, build  # noqa: E402
-from tvo import autodiff, estimators, models, objectives, path, trainer  # noqa: E402
+from tvo import autodiff, cli, estimators, models, objectives, path, trainer  # noqa: E402
 from tvo.errors import DegenerateWeightsWarning  # noqa: E402
 
 STEPS = 3
@@ -94,6 +100,20 @@ def estimator_cases():
             ("vae", vae, vae.init_params(4), _binary_items(ESTIMATOR_ITEMS, 16, 8))]
 
 
+def tvo_eval_outputs(S):
+    """(label, estimate) of the five `tvo eval` estimates of a synthetic SBN,
+    as written to eval.csv."""
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["eval", "--model", "sbn", "--dataset", "synthetic-sbn", "--d-x", "16",
+                         "--d-z", "5", "--K", "3", "--seed", "17", "--eval-items",
+                         str(ESTIMATOR_ITEMS), "--eval-samples", str(S), "--out", out])
+        if code:
+            raise RuntimeError(f"tvo eval exited {code}")
+        with open(os.path.join(out, "eval.csv")) as fh:
+            rows = list(csv.reader(fh))[1:]
+    return [(f"tvo_eval.{name}", np.float64(value)) for name, value in rows]
+
+
 def estimator_outputs():
     """(label, array) pairs of the estimators configuration, in digest order."""
     warnings.simplefilter("ignore", DegenerateWeightsWarning)  # small-S EUBO steps
@@ -123,6 +143,7 @@ def estimator_outputs():
         out.append((f"{case}.evaluate", np.array(trainer.evaluate(model, params, x, S_blocks, 15))))
         curve = path.integrand_curve(model, params, x, np.linspace(0.0, 1.0, 11), S_blocks, 16)
         out += [(f"{case}.curve.values", curve.values), (f"{case}.curve.std_errors", curve.std_errors)]
+    out += tvo_eval_outputs(S_blocks)
     for seed in range(CHECK_NETWORKS):
         fn, params = autodiff.random_check_network(seed)
         value, grad = autodiff.value_and_grad(fn, params)

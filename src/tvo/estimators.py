@@ -171,18 +171,18 @@ def _check_support(log_w):
         raise DegenerateWeightsError("all importance weights are zero for some observation")
 
 
-def score_blocks(model, view, x, S, seed, step=None, out=None):
+def score_blocks(model, view, x, S, seed):
     """The one loop that turns proposal noise into scores: yields
-    (items, z, U', log p, log q) for consecutive blocks of `step` items of x,
-    by default max(1, BLOCK // S).
+    (items, z, U', log p, log q) for consecutive item blocks of x.
 
-    Each block's noise is drawn just before the block is scored, so a
-    consumer that drops z holds one block's latents, whatever items x S. The
-    draws are block by block in stream order (model.noise_blocks), into the
-    block's slice of `out` when given a model.noise_buffer. The scores are
-    Vars on a lifted view and plain arrays otherwise. A block holding a row
-    whose weights are all zero raises DegenerateWeightsError: the proposal
-    missed the joint's support entirely.
+    A lifted view is scored as one block on its tape, so a training step
+    differentiates the very forward pass that produced its weights, and the
+    scores are Vars; a plain view is scored in blocks of max(1, BLOCK // S)
+    items, as plain arrays. Each block's noise (model.noise_blocks) is a
+    fresh array drawn just before the block is scored, so a consumer that
+    drops z holds one block's latents, whatever items x S. A block holding a
+    row whose weights are all zero raises DegenerateWeightsError: the
+    proposal missed the joint's support entirely.
     """
     if S < 1:
         raise DomainError(f"need at least one sample, got S={S}")
@@ -191,8 +191,10 @@ def score_blocks(model, view, x, S, seed, step=None, out=None):
         x = x[None, :]
     if x.shape[0] == 0:
         raise ShapeError("need at least one item to score")
+    taped = any(isinstance(v, ad.Var) for v in view.values())
+    step = x.shape[0] if taped else max(1, BLOCK // S)
     rng = rng_stream(seed, _STREAM_SAMPLES)
-    for items, noise in model.noise_blocks(rng, x.shape[0], S, step or max(1, BLOCK // S), out):
+    for items, noise in model.noise_blocks(rng, x.shape[0], S, step):
         z, lq = model.sample_q(view, x[items], noise)
         lj = model.log_joint(view, x[items], z)
         u = ad.sub(lj, lq)
@@ -215,37 +217,29 @@ def build_weight_table(model, params, x, S, schedule, seed) -> WeightTable:
 def _scored_table(model, params, view, x, S, schedule, seed):
     """build_weight_table scoring through `view`: (table, U', log p, log q).
 
-    score_blocks draws each block into its slice of one batch of noise. A
-    lifted view is scored as one block on its tape, so a training step
-    differentiates the very forward pass that produced its weights, and the
-    three scores are Vars; a tape-free view is scored in item blocks, and
-    they come back as None.
+    Collects the blocks of score_blocks. One block is used as it is: its
+    log_w and zs are the scored arrays themselves, so a training step copies
+    nothing, and its three scores come back (Vars on a lifted view, which is
+    always one block). Several blocks are concatenated, and the scores come
+    back as None.
 
     A table that fits one block (every training-size table) is bit-identical
     to the taped one at the same seed. Larger tables agree per item to about
     1e-16 relative: BLAS may round a row differently when the matrix it sits
     in has a different number of rows.
     """
-    if S < 1:  # before the noise buffer is shaped
-        raise DomainError(f"need at least one sample, got S={S}")
     betas = _as_beta_grid(schedule)
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    taped = any(isinstance(v, ad.Var) for v in view.values())
-    noise = model.noise_buffer(x.shape[0], S)
-    log_w = np.empty((x.shape[0], S))
-    blocks = []
-    step = x.shape[0] if taped else None
-    for items, z, u, lj, lq in score_blocks(model, view, x, S, seed, step, noise):
-        log_w[items] = value_of(u)
-        blocks.append(z)
-    # models with float latents draw z in place, leaving the batch in noise
-    zs = noise if np.may_share_memory(blocks[0], noise) else np.concatenate(blocks)
-    if not taped:
+    blocks = [scores for _, *scores in score_blocks(model, view, x, S, seed)]
+    if len(blocks) == 1:
+        (zs, u, lj, lq), = blocks
+        log_w = value_of(u)
+    else:
+        zs = np.concatenate([z for z, *_ in blocks])
+        log_w = np.concatenate([u for _, u, *_ in blocks])
         u = lj = lq = None
-    return tempered_table(log_w, betas, zs, x, seed, single), u, lj, lq
+    table = tempered_table(log_w, betas, zs, np.atleast_2d(x), seed, single=x.ndim == 1)
+    return table, u, lj, lq
 
 
 def exact_weight_table(model, params, x, schedule) -> WeightTable:
@@ -430,19 +424,18 @@ def reparam_gradient(model, params, x, objective, S, seed) -> GradientEstimate:
     """Pathwise gradient through z = mean + std * eps for location-scale q.
 
     objective: "elbo" (mean of U' over samples) or "iwae" (log mean weight).
-    eps is the one block of noise_blocks that score_blocks draws for a
-    taped table at the same seed, and reparam_sample returns log q from the
-    encoder pass that made z: z, and the taped U' values returned in
-    meta["log_w"], are bit-identical to build_weight_table's at that seed, so
-    a training step takes its value from this one pass.
+    eps is model.draw_noise of all B items, the one block that score_blocks
+    draws for a taped table at the same seed, and reparam_sample returns
+    log q from the encoder pass that made z: z, and the taped U' values
+    returned in meta["log_w"], are bit-identical to build_weight_table's at
+    that seed, so a training step takes its value from this one pass.
     """
     if getattr(model, "latent", "discrete") != "continuous" or not hasattr(model, "reparam_sample"):
         raise UnsupportedEstimatorError("reparameterization requires a location-scale continuous q")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    B = x.shape[0]
-    _, eps = next(model.noise_blocks(rng_stream(seed, _STREAM_SAMPLES), B, S, B))
+    eps = model.draw_noise(rng_stream(seed, _STREAM_SAMPLES), x.shape[0], S)
     tape = Tape()
     view = params.lift(tape)
     z, lq = model.reparam_sample(view, x, eps)

@@ -6,14 +6,12 @@ Conventions shared by every model:
   * z is a batch of latent samples with shape (B, S, ...), model specific;
   * log_joint / log_q take a parameter view (name -> array or Var) and return
     a (B, S) array, or Var when any parameter is lifted onto a tape;
-  * three methods draw the proposal's randomness. noise_buffer(B, S) is an
-    uninitialized batch of noise for B x S samples in the model's layout,
-    with leading dims (B, S), so an item block is a slice of it;
-    draw_noise(rng, out) fills such a buffer or slice with the next draws of
-    rng; noise_blocks(rng, B, S, step, out) yields (items, noise) per block
-    of `step` items, each drawn only when it is reached, into its slice of
-    `out` when given. A block's numbers do not depend on `step`: one block of
-    all B items is the whole batch's draw in stream order;
+  * noise_blocks(rng, B, S, step) yields (items, noise) for consecutive
+    blocks of `step` items, each block a fresh array with leading dims
+    (n, S), drawn only when it is reached. A block's numbers do not depend
+    on `step`: one block of all B items is the whole batch's draw in stream
+    order. A model whose noise is item-major implements draw_noise(rng, n, S),
+    the next n items' noise, and inherits noise_blocks;
   * sample_q(view, x, noise) runs the inference network once and returns
     (z, log q(z|x)) from the same logits or moments. z is a plain array even
     on a lifted view, so score-function estimators stay score-function
@@ -41,8 +39,9 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 class LatentModel:
     """Contract shared by all models; see the module docstring for shapes, for
     the noise methods and for how sample_q turns noise into (z, log q).
-    estimators.score_blocks is the one loop that does so. A model whose noise
-    is item-major implements draw_noise and inherits noise_blocks."""
+    estimators.score_blocks is the one loop that does so. Noise has two
+    hooks: a model whose noise is item-major implements draw_noise and
+    inherits noise_blocks; any other layout overrides noise_blocks."""
 
     latent = "discrete"
 
@@ -55,21 +54,16 @@ class LatentModel:
     def log_q(self, view, x, z):
         raise NotImplementedError
 
-    def noise_buffer(self, B, S):
+    def draw_noise(self, rng, n, S):
+        """The next n items' noise for S samples each, from rng."""
         raise NotImplementedError
 
-    def draw_noise(self, rng, out):
-        """Fills `out`, a noise_buffer or an item slice of one, with the next
-        draws of rng; returns it."""
-        raise NotImplementedError
-
-    def noise_blocks(self, rng, B, S, step, out=None):
+    def noise_blocks(self, rng, B, S, step):
         """(items, noise) per block of `step` items. An item-major layout
         draws its blocks one after another from rng."""
         for i in range(0, B, step):
             items = slice(i, min(i + step, B))
-            block = self.noise_buffer(items.stop - i, S) if out is None else out[items]
-            yield items, self.draw_noise(rng, block)
+            yield items, self.draw_noise(rng, items.stop - i, S)
 
     def sample_q(self, view, x, noise):
         raise NotImplementedError
@@ -100,6 +94,12 @@ def _log_normal(v, mean, log_std):
     delta = ad.sub(v, mean)
     scaled = ad.mul(delta, ad.exp(ad.neg(log_std)))
     return ad.sub(ad.mul(ad.mul(scaled, scaled), -0.5), ad.add(0.5 * LOG_2PI, log_std))
+
+
+def _glorot(rng, fan_in, fan_out):
+    """Glorot-uniform (fan_in, fan_out) weights drawn from rng."""
+    lim = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-lim, lim, size=(fan_in, fan_out))
 
 
 def _categorical_rows(prob_rows, u):
@@ -170,11 +170,8 @@ class ToyBernoulli(LatentModel):
         flat = ad.reshape(prop, (self.n_x * self.n_z,))
         return ad.gather(flat, x_idx[:, None] * self.n_z + z)
 
-    def noise_buffer(self, B, S):
-        return np.empty((B, S))
-
-    def draw_noise(self, rng, out):
-        return rng.random(out=out)
+    def draw_noise(self, rng, n, S):
+        return rng.random((n, S))
 
     def sample_q(self, view, x, noise):
         z = _categorical_rows(softmax(value_of(view["phi/proposal"]), axis=-1)[self._x_index(x)], noise)
@@ -261,11 +258,8 @@ class ConjugateGaussian(LatentModel):
         mean, log_std = self.q_mean_log_std(view, x)
         return _log_normal(z, mean, log_std)
 
-    def noise_buffer(self, B, S):
-        return np.empty((B, S))
-
-    def draw_noise(self, rng, out):
-        return rng.standard_normal(out=out)
+    def draw_noise(self, rng, n, S):
+        return rng.standard_normal((n, S))
 
     def sample_q(self, view, x, noise):
         """Scales and shifts the normals in place: the returned z is `noise`."""
@@ -435,18 +429,15 @@ class SigmoidBeliefNet(LatentModel):
         self.x_bias = np.log(clamped / (1.0 - clamped))
 
     def _init_map(self, rng, named, prefix, d_in, d_out):
-        def glorot(fan_in, fan_out):
-            lim = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-lim, lim, size=(fan_in, fan_out))
         if self.nonlinear:
-            named[prefix + ".w1"] = glorot(d_in, self.d_z)
+            named[prefix + ".w1"] = _glorot(rng, d_in, self.d_z)
             named[prefix + ".b1"] = np.zeros(self.d_z)
-            named[prefix + ".w2"] = glorot(self.d_z, self.d_z)
+            named[prefix + ".w2"] = _glorot(rng, self.d_z, self.d_z)
             named[prefix + ".b2"] = np.zeros(self.d_z)
-            named[prefix + ".w3"] = glorot(self.d_z, d_out)
+            named[prefix + ".w3"] = _glorot(rng, self.d_z, d_out)
             named[prefix + ".b3"] = np.zeros(d_out)
         else:
-            named[prefix + ".w"] = glorot(d_in, d_out)
+            named[prefix + ".w"] = _glorot(rng, d_in, d_out)
             named[prefix + ".b"] = np.zeros(d_out)
 
     def init_params(self, seed) -> ParamVector:
@@ -513,14 +504,11 @@ class SigmoidBeliefNet(LatentModel):
     def log_q(self, view, x, z):
         return self._q_pass(view, _check_binary(x), self._check_z(z), draw=False)
 
-    def noise_buffer(self, B, S):
-        return np.moveaxis(np.empty((self.layers, B, S, self.d_z)), 0, 2)
-
-    def noise_blocks(self, rng, B, S, step, out=None):
+    def noise_blocks(self, rng, B, S, step):
         """The batch's stream is one (layers, B, S, d_z) draw of uniforms,
         seen as (B, S, layers, d_z). Layer ell's start ell * B * S * d_z draws
-        into it, so each layer draws its blocks from its own generator, moved
-        there once per batch."""
+        into it, so each layer fills its slice of every fresh (layers, n, S,
+        d_z) block from its own generator, moved there once per batch."""
         gens = [rng]
         for ell in range(1, self.layers):
             bits = type(rng.bit_generator)(0)
@@ -529,10 +517,10 @@ class SigmoidBeliefNet(LatentModel):
             gens.append(np.random.Generator(bits))
         for i in range(0, B, step):
             items = slice(i, min(i + step, B))
-            block = self.noise_buffer(items.stop - i, S) if out is None else out[items]
-            for gen, layer in zip(gens, np.moveaxis(block, 2, 0)):
+            block = np.empty((self.layers, items.stop - i, S, self.d_z))
+            for gen, layer in zip(gens, block):
                 gen.random(out=layer)
-            yield items, block
+            yield items, np.moveaxis(block, 0, 2)
 
     def sample_q(self, view, x, noise):
         """Thresholds the uniforms in place: the returned z is `noise`."""
@@ -567,19 +555,15 @@ class GaussianVAE(LatentModel):
 
     def init_params(self, seed) -> ParamVector:
         rng = rng_stream(seed, 29)
-
-        def glorot(fan_in, fan_out):
-            lim = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-lim, lim, size=(fan_in, fan_out))
-
+        z, x = self.d_z, self.d_x
         return ParamVector.build({
-            "theta/dec1.w": glorot(self.d_z, self.d_z), "theta/dec1.b": np.zeros(self.d_z),
-            "theta/dec2.w": glorot(self.d_z, self.d_z), "theta/dec2.b": np.zeros(self.d_z),
-            "theta/dec3.w": glorot(self.d_z, self.d_x), "theta/dec3.b": np.zeros(self.d_x),
-            "phi/enc1.w": glorot(self.d_x, self.d_z), "phi/enc1.b": np.zeros(self.d_z),
-            "phi/enc2.w": glorot(self.d_z, self.d_z), "phi/enc2.b": np.zeros(self.d_z),
-            "phi/mean.w": glorot(self.d_z, self.d_z), "phi/mean.b": np.zeros(self.d_z),
-            "phi/logstd.w": glorot(self.d_z, self.d_z), "phi/logstd.b": np.zeros(self.d_z),
+            "theta/dec1.w": _glorot(rng, z, z), "theta/dec1.b": np.zeros(z),
+            "theta/dec2.w": _glorot(rng, z, z), "theta/dec2.b": np.zeros(z),
+            "theta/dec3.w": _glorot(rng, z, x), "theta/dec3.b": np.zeros(x),
+            "phi/enc1.w": _glorot(rng, x, z), "phi/enc1.b": np.zeros(z),
+            "phi/enc2.w": _glorot(rng, z, z), "phi/enc2.b": np.zeros(z),
+            "phi/mean.w": _glorot(rng, z, z), "phi/mean.b": np.zeros(z),
+            "phi/logstd.w": _glorot(rng, z, z), "phi/logstd.b": np.zeros(z),
         })
 
     def _check_z(self, z):
@@ -619,11 +603,8 @@ class GaussianVAE(LatentModel):
         mean, log_std = self.q_mean_log_std(view, x)
         return ad.tsum(_log_normal(z, mean, log_std), axis=-1)
 
-    def noise_buffer(self, B, S):
-        return np.empty((B, S, self.d_z))
-
-    def draw_noise(self, rng, out):
-        return rng.standard_normal(out=out)
+    def draw_noise(self, rng, n, S):
+        return rng.standard_normal((n, S, self.d_z))
 
     def sample_q(self, view, x, noise):
         """Scales and shifts the normals in place: the returned z is `noise`."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, NumericalError, ShapeError
 from .util import write_csv, write_jsonl
 
 
@@ -105,13 +105,16 @@ def integrand_curve(model, params, x, betas, S, seed) -> IntegrandCurve:
     (estimators.score_blocks), and each block is reduced to its items'
     estimates and variances before the next is drawn, so neither the
     batch's latents nor its (B, K+1, S) columns ever exist at once; the
-    result is the whole-table one bit for bit.
+    result is the whole-table one bit for bit. A non-finite estimate at any
+    knot raises NumericalError before its block's deviations are formed.
     """
     from .estimators import score_blocks, tempered_table  # deferred: estimators imports path
 
     g, var_hat = [], []
     for _, _, log_w, _, _ in score_blocks(model, params.as_dict(), x, S, seed):
         table = tempered_table(log_w, betas)
+        if not np.all(np.isfinite(table.g)):
+            raise NumericalError("non-finite integrand estimate; weights degenerate on this grid")
         g.append(table.g)
         # U'(z_s) equals the log importance weight
         var_hat.append(np.sum(table.norm_w ** 2 * table.deviations(log_w, table.g) ** 2, axis=2))
@@ -119,7 +122,5 @@ def integrand_curve(model, params, x, betas, S, seed) -> IntegrandCurve:
     # averaged over contiguous per-knot rows, as np.mean reduces one knot's
     # estimates, so grid endpoints reproduce the mean ELBO/EUBO bit for bit
     values = np.ascontiguousarray(g.T).mean(axis=1)
-    if not np.all(np.isfinite(values)):
-        raise DomainError("non-finite integrand estimate; weights degenerate on this grid")
     std_err = np.sqrt(np.concatenate(var_hat).sum(axis=0)) / g.shape[0]
     return IntegrandCurve(table.betas, values, std_err)

@@ -368,17 +368,14 @@ def evaluate(model, params, items, S_eval, seed):
     """(mean IWAE log-evidence, mean ELBO) over a fixed eval subset.
 
     The items are drawn and scored block by block (score_blocks), and no
-    latent outlives its block: the IWAE reads each block's log_w as it
-    comes, and the ELBO only the uniform beta = 0 column of the batch's
-    log_w.
+    latent or log w outlives its block: each block gives its items' IWAE
+    and, from its uniform beta = 0 column, their ELBO.
     """
-    iwae, log_w = [], []
-    for _, _, block, _, _ in score_blocks(model, params.as_dict(), items, S_eval, seed):
-        iwae.append(iwae_estimate(block))
-        log_w.append(block)
-    log_w = np.concatenate(log_w)  # drops the blocks before the column is filled
-    elbo = elbo_estimate(tempered_table(log_w, np.array([0.0])))
-    return float(np.mean(np.concatenate(iwae))), float(np.mean(np.asarray(elbo)))
+    iwae, elbo = [], []
+    for _, _, log_w, _, _ in score_blocks(model, params.as_dict(), items, S_eval, seed):
+        iwae.append(iwae_estimate(log_w))
+        elbo.append(elbo_estimate(tempered_table(log_w, np.array([0.0]))))
+    return float(np.mean(np.concatenate(iwae))), float(np.mean(np.concatenate(elbo)))
 
 
 def train(config: RunConfig, data: Dataset = None) -> TrainResult:

@@ -7,7 +7,7 @@ from conftest import mc_mean_se
 from tvo import autodiff as ad
 from tvo import estimators as est
 from tvo import oracles
-from tvo.errors import (DegenerateWeightsError, DomainError, ShapeError,
+from tvo.errors import (DegenerateWeightsError, DomainError, NumericalError, ShapeError,
                         UnsupportedEstimatorError)
 from tvo.objectives import eubo_estimate, tvo_upper
 from tvo.path import PartitionSchedule, integrand_curve, make_schedule
@@ -288,24 +288,19 @@ _NOISE_MODELS = {
                          ids=["ragged-last-block", "one-item-blocks"])
 def test_block_noise_equals_the_batch_draw(name, B, S):
     # each block is drawn only when it is reached, yet equals its slice of
-    # the whole-batch draw, whether or not it is drawn into a batch buffer;
-    # one block of B items, as a taped table draws it, is the whole draw
+    # the whole-batch draw; one block of B items, as a taped table draws it,
+    # is the whole draw
     make, draw = _NOISE_MODELS[name]
     model = make()
     whole = draw(model, rng_stream(9, est._STREAM_SAMPLES), B, S)
     blocked = max(1, est.BLOCK // S)
     assert B % blocked != 0 if S <= est.BLOCK else blocked == 1
     for step in (blocked, B):
-        out = model.noise_buffer(B, S)
-        for buffer in (None, out):
-            starts = []
-            for items, block in model.noise_blocks(rng_stream(9, est._STREAM_SAMPLES), B, S, step,
-                                                   buffer):
-                starts.append(items.start)
-                np.testing.assert_array_equal(block, whole[items])
-                assert buffer is None or np.shares_memory(block, buffer[items])
-            assert starts == list(range(0, B, step))
-        np.testing.assert_array_equal(out, whole)
+        starts = []
+        for items, block in model.noise_blocks(rng_stream(9, est._STREAM_SAMPLES), B, S, step):
+            starts.append(items.start)
+            np.testing.assert_array_equal(block, whole[items])
+        assert starts == list(range(0, B, step))
 
 
 def test_multi_block_table_matches_the_one_block_draw(monkeypatch):
@@ -319,6 +314,39 @@ def test_multi_block_table_matches_the_one_block_draw(monkeypatch):
     whole = est.build_weight_table(model, params, x, BLOCKED_S, [0.0, 1.0], 9)
     np.testing.assert_array_equal(blocked.zs, whole.zs)
     np.testing.assert_array_equal(blocked.log_w, whole.log_w)
+
+
+@pytest.mark.parametrize("B,S", [(7, BLOCKED_S), (3, est.BLOCK + 76)],
+                         ids=["ragged-last-block", "one-item-blocks"])
+def test_score_blocks_scores_a_lifted_view_as_one_block(B, S):
+    # a plain view is scored in blocks of max(1, BLOCK // S) items; a lifted
+    # view in one block of all B items, however many samples that is
+    model = SigmoidBeliefNet(d_x=16, d_z=5)
+    params = model.init_params(3)
+    x = _binary_items(B, 16)
+    plain = [items for items, *_ in est.score_blocks(model, params.as_dict(), x, S, 9)]
+    assert len(plain) == -(-B // max(1, est.BLOCK // S))
+    lifted = [items for items, *_ in est.score_blocks(model, params.lift(ad.Tape()), x, S, 9)]
+    assert lifted == [slice(0, B)]
+
+
+def test_a_one_block_taped_table_holds_the_scored_arrays(monkeypatch):
+    # the table of a training step is its scored block itself: log_w is the
+    # taped U' value and zs the sampled z, with no copy
+    model = GaussianVAE(d_x=16, d_z=3)
+    params = model.init_params(3)
+    x = _binary_items(6, 16)
+    scored = []
+    score_blocks = est.score_blocks
+    monkeypatch.setattr(est, "score_blocks",
+                        lambda *args: (scored.append(block) or block for block in score_blocks(*args)))
+    table, u, _, _ = est._scored_table(model, params, params.lift(ad.Tape()), x, BLOCKED_S,
+                                       [0.0, 1.0], 9)
+    (_, z, u_block, _, _), = scored
+    assert u is u_block
+    assert np.shares_memory(table.log_w, ad.value_of(u))
+    assert np.shares_memory(table.zs, z)
+    assert x.shape[0] * BLOCKED_S > est.BLOCK
 
 
 # the streamed consumers against whole-table computations, bit for bit: a
@@ -386,6 +414,26 @@ def test_streamed_tvo_eval_matches_the_whole_table(monkeypatch, capsys, name):
     assert {k: float(v) for k, v in printed.items()} == {k: float(np.mean(v)) for k, v in want.items()}
 
 
+def test_a_non_finite_curve_is_a_numerical_failure(monkeypatch, capsys, tmp_path):
+    # at beta = 0 the zero-weight toy's g is -inf for the rows with x = 1:
+    # a numerical failure (exit 1), raised before any invalid-value warning
+    import warnings
+
+    from tvo import cli
+
+    model, params, x, _ = _streamed_case("zero-weight-toy")
+    resolve = cli._resolve
+    monkeypatch.setattr(cli, "_resolve", lambda args: (*resolve(args)[:2], model, params))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="non-finite integrand"):
+            integrand_curve(model, params, x, np.linspace(0.0, 1.0, 5), BLOCKED_S, 21)
+        assert cli.main(["export-curve", "--dataset", "synthetic-toy", "--d-x", "1",
+                         "--m-latent", "2", "--eval-items", "5", "--eval-samples", "50",
+                         "--out", str(tmp_path / "curve.csv")]) == 1
+    assert "non-finite integrand" in capsys.readouterr().err
+
+
 def test_an_empty_batch_is_a_shape_error():
     # every consumer of score_blocks, taped or not, refuses a batch of 0 items
     from tvo.objectives import ObjectiveSpec, training_step
@@ -434,8 +482,8 @@ def test_streamed_consumers_raise_on_a_degenerate_block(capsys, monkeypatch):
 
 def test_streamed_evaluate_holds_one_block_of_latents():
     # a desk SBN evaluate at S = 500 peaks under 5 MB, and 200 more items
-    # (1e5 samples) raise the peak by at most 16 bytes a sample: the batch's
-    # log w and its uniform beta = 0 column, never its latents
+    # (1e5 samples) raise the peak by at most 16 bytes a sample: evaluate
+    # keeps per-item estimates, never the batch's latents or log w
     import tracemalloc
 
     from tvo.trainer import evaluate
@@ -506,8 +554,8 @@ def test_inference_network_runs_once_per_table(monkeypatch):
 
 
 def test_blocked_evaluate_matches_table_estimates(monkeypatch):
-    # evaluate tempers only the beta = 0 knot, yet returns exactly the
-    # estimates of a [0, 1] table
+    # evaluate tempers only the beta = 0 knot of each block, yet returns
+    # exactly the estimates of a [0, 1] table
     from tvo.objectives import elbo_estimate, iwae_estimate
     from tvo.trainer import evaluate
 
@@ -526,7 +574,8 @@ def test_blocked_evaluate_matches_table_estimates(monkeypatch):
         monkeypatch.setattr(est, "tempered_columns", recorded)
         iwae, elbo = evaluate(model, params, x, BLOCKED_S, 21)
         monkeypatch.undo()
-        assert knots == [[0.0]]
+        # the beta = 0 column alone, once per item block
+        assert knots == [[0.0]] * -(-x.shape[0] // max(1, est.BLOCK // BLOCKED_S))
         assert iwae == float(np.mean(iwae_estimate(table.log_w)))
         assert elbo == float(np.mean(elbo_estimate(table)))
 

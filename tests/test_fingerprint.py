@@ -38,7 +38,10 @@ def test_fingerprint_of_the_desk_config_matches_its_dump(tmp_path):
 def test_fingerprint_of_the_estimators_config_matches_its_dump(tmp_path):
     _, dump = fingerprint("estimators", tmp_path)
     cases = ("toy", "gaussian", "sbn3", "vae")
-    assert {name.split(".")[0] for name in dump.files} == {*cases, *(f"network{i}" for i in range(50))}
+    assert {name.split(".")[0] for name in dump.files} \
+        == {*cases, "tvo_eval", *(f"network{i}" for i in range(50))}
+    assert [name for name in dump.files if name.startswith("tvo_eval.")] \
+        == [f"tvo_eval.{kind}" for kind in ("elbo", "eubo", "iwae", "tvo_lower", "tvo_upper")]
     for case in cases:
         assert {f"{case}.{kind}.crn0.grad" for kind in ("elbo", "eubo", "tvo_lower", "tvo_upper")} \
             < set(dump.files)
