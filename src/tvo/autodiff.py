@@ -317,10 +317,12 @@ def log_sigmoid(a):
 def bernoulli_logpmf(y, logits):
     """sum_i log Bernoulli(y_i | sigmoid(t_i)) over the last axis, one tape node.
 
-    For binary y this is exactly -sum(logaddexp(0, (1 - 2y) t)), evaluated in
-    the stable form max(s, 0) + log1p(exp(-|s|)). y is constant data; logits
-    may broadcast against it (a shared prior row, one encoder row per datum).
-    The vjp is g * (y - sigmoid(t)), reduced back to the logits' shape.
+    y must be binary constant data (the models check it). This is then
+    exactly -sum(logaddexp(0, s)), s = (1 - 2y) t, evaluated as max(s, 0) +
+    log1p(exp(-|s|)); as |s| = |t| bit for bit, logits that broadcast
+    against y (a shared prior row, one encoder row per datum) give that tail
+    on their own, smaller shape. The vjp is g * (y - sigmoid(t)), reduced
+    back to the logits' shape.
 
     A tape-free call of more than TILE elements runs in tiles of whole rows
     (one row per leading index), at most TILE elements each unless one row
@@ -344,9 +346,9 @@ def bernoulli_logpmf(y, logits):
 
 def _bernoulli_rows(sign, t, out=None):
     """-sum(max(s, 0) + log1p(exp(-|s|)), axis=-1) with s = sign * t, into
-    `out` when given."""
+    `out` when given; sign is +-1, so broadcast logits give the tail."""
     s = sign * t
-    tail = np.abs(s)
+    tail = np.abs(t if t.size < s.size else s)
     np.negative(tail, out=tail)
     np.exp(tail, out=tail)
     np.log1p(tail, out=tail)
@@ -460,7 +462,13 @@ class ParamVector:
         return {n: self.get(n) for n in self.names}
 
     def with_vector(self, vector) -> "ParamVector":
-        return ParamVector(self.names, self.shapes, vector)
+        """The same segments over `vector`, sharing this layout."""
+        vector = _as_array(vector).ravel()
+        if vector.size != self.size:
+            raise ShapeError(f"vector length {vector.size} does not match segments ({self.size})")
+        out = object.__new__(ParamVector)
+        out.names, out.shapes, out._slices, out.vector = self.names, self.shapes, self._slices, vector
+        return out
 
     def replace(self, **named) -> "ParamVector":
         vec = self.vector.copy()

@@ -130,9 +130,8 @@ class WeightTable:
     def dead(self):
         """(mask of the dead samples, log w = -inf, (B, S); indices of the
         rows holding one), or None when no sample is dead."""
-        mask = np.isneginf(self.log_w)
-        rows = np.flatnonzero(mask.any(axis=1))
-        return (mask, rows) if rows.size else None
+        mask = self.log_w == -np.inf
+        return (mask, np.flatnonzero(mask.any(axis=1))) if mask.any() else None
 
     def contract(self, f, ks=slice(None)) -> np.ndarray:
         """sum_s w_s^beta f(z_s) per item at the knots `ks`, (B, T)."""
@@ -228,7 +227,6 @@ def _scored_table(model, params, view, x, S, schedule, seed):
     1e-16 relative: BLAS may round a row differently when the matrix it sits
     in has a different number of rows.
     """
-    betas = _as_beta_grid(schedule)
     x = np.asarray(x, dtype=np.float64)
     blocks = [scores for _, *scores in score_blocks(model, view, x, S, seed)]
     if len(blocks) == 1:
@@ -238,7 +236,7 @@ def _scored_table(model, params, view, x, S, schedule, seed):
         zs = np.concatenate([z for z, *_ in blocks])
         log_w = np.concatenate([u for _, u, *_ in blocks])
         u = lj = lq = None
-    table = tempered_table(log_w, betas, zs, np.atleast_2d(x), seed, single=x.ndim == 1)
+    table = tempered_table(log_w, schedule, zs, np.atleast_2d(x), seed, single=x.ndim == 1)
     return table, u, lj, lq
 
 
@@ -301,17 +299,22 @@ def _score_coefficients(table, terms, f, mean=None):
     (1 - beta_k) log q is linear in log p and log q, so the terms sum to one
     coefficient per sample on each, folded in order along a term axis, as a
     per-term loop would add them. mean (B, T) defaults to E^_k[f] from the
-    same column, where the one-sided form equals the full covariance: the
-    covariance estimator. A zero-weight sample's deviation reads 0 where
-    beta > 0 (WeightTable.deviations). Without a beta > 0 the path density
-    is q alone and the log p coefficient is absent (None).
+    same column (table.g when f is the table's log w), where the one-sided
+    form equals the full covariance: the covariance estimator. When f is
+    log w, a non-finite mean raises NumericalError, as the bound estimate
+    is then not finite; a non-finite explicit f is left to _finish, which
+    names the segment. A zero-weight sample's deviation reads 0 where beta > 0
+    (WeightTable.deviations). Without a beta > 0 the path density is q
+    alone and the log p coefficient is absent (None).
     """
     ks = [k for k, _ in terms]
     widths = np.array([width for _, width in terms])[:, None]
     betas = table.betas[ks]
     weighted = widths * table.norm_w[:, ks]  # (B, T, S)
     if mean is None:
-        mean = table.contract(f, ks)
+        mean = table.g[:, ks] if f is table.log_w else table.contract(f, ks)
+    if f is table.log_w and not np.isfinite(mean).all():
+        raise NumericalError("non-finite E[U'] at a knot: the bound estimate is not finite")
     coeff = weighted * table.deviations(f, mean, ks)
     if not betas.any():
         return None, coeff.sum(axis=1), weighted.sum(axis=1)
@@ -406,8 +409,8 @@ def reinforce_baseline_gradient(model, params, f, table: WeightTable, beta_index
         f_main = np.asarray(value_of(f(numeric, table.x, table.zs)))
         f_aux = np.asarray(value_of(f(numeric, aux_b.x, aux_b.zs)))
     baseline = aux_b.contract(f_aux, [beta_index])
-    resid = table.contract(f_main, [beta_index]) - baseline  # E^_A[f] - b per datum, (B, 1)
     grad = _table_gradient(model, params, f, table, beta_index, baseline, scored)
+    resid = table.contract(f_main, [beta_index]) - baseline  # E^_A[f] - b per datum, (B, 1)
 
     # subtract (E^_A[f] - b) * E^_aux[grad log pi~]: the auxiliary batch is
     # scored once, on its own tape, with coefficients on log p and log q only

@@ -506,9 +506,13 @@ class SigmoidBeliefNet(LatentModel):
 
     def noise_blocks(self, rng, B, S, step):
         """The batch's stream is one (layers, B, S, d_z) draw of uniforms,
-        seen as (B, S, layers, d_z). Layer ell's start ell * B * S * d_z draws
-        into it, so each layer fills its slice of every fresh (layers, n, S,
-        d_z) block from its own generator, moved there once per batch."""
+        seen as (B, S, layers, d_z). A one-block batch is that draw itself.
+        Otherwise layer ell's start ell * B * S * d_z draws into it, so each
+        layer fills its slice of every fresh (layers, n, S, d_z) block from
+        its own generator, moved there once per batch."""
+        if step >= B:
+            yield slice(0, B), np.moveaxis(rng.random((self.layers, B, S, self.d_z)), 0, 2)
+            return
         gens = [rng]
         for ell in range(1, self.layers):
             bits = type(rng.bit_generator)(0)

@@ -79,7 +79,8 @@ def eubo_estimate(table: WeightTable):
 
 
 def _check_knots(table: WeightTable, schedule: PartitionSchedule):
-    if table.betas.size != schedule.betas.size or np.any(table.betas != schedule.betas):
+    tb, sb = table.betas, schedule.betas  # a table tempered on the schedule holds its array
+    if tb is not sb and (tb.size != sb.size or np.any(tb != sb)):
         raise ShapeError(f"table knots {table.betas} do not match schedule {schedule.betas}")
 
 
@@ -177,7 +178,7 @@ def training_step(spec: ObjectiveSpec, model, params, x, seed, crn=True):
     # one sample batch and one tape serve every Riemann term
     tape = Tape()
     view = params.lift(tape)
-    shared, u, lj, lq = _scored_table(model, params, view, x, spec.S, spec.schedule.betas, seed)
+    shared, u, lj, lq = _scored_table(model, params, view, x, spec.S, spec.schedule, seed)
     value = float(np.mean(np.asarray(objective_estimate(spec, shared))))
     coeffs = _score_coefficients(shared, _riemann_terms(spec), value_of(u))
     per_item = _score_surrogate(zip(coeffs, (lj, lq, u)))
@@ -188,14 +189,14 @@ def _training_step_no_reuse(spec, model, params, x, seed, prefixes):
     """Common random numbers disabled: every Riemann term draws its own
     batch, and each term's inner expectations (its baselines) come from
     further independent batches. Same estimator family, no sample sharing."""
-    value_table = build_weight_table(model, params, x, spec.S, spec.schedule.betas, seed)
+    value_table = build_weight_table(model, params, x, spec.S, spec.schedule, seed)
     value = float(np.mean(np.asarray(objective_estimate(spec, value_table))))
     total = np.zeros(params.size)
     for i, (k, width) in enumerate(_riemann_terms(spec)):
         fresh_seed = int(rng_stream(seed, _STREAM_FRESH, i).integers(2 ** 31))
         # the term's batch is scored once, on the tape its gradient reads
         view = params.lift(Tape())
-        table, *scores = _scored_table(model, params, view, x, spec.S, spec.schedule.betas, fresh_seed)
+        table, *scores = _scored_table(model, params, view, x, spec.S, spec.schedule, fresh_seed)
         total += width * reinforce_baseline_gradient(model, params, None, table, k,
                                                      (view, *scores)).vector
     return value, GradientEstimate(params.zero_outside(total, prefixes))

@@ -288,6 +288,30 @@ def test_tiled_bernoulli_logpmf_memory_is_bounded_by_the_tile():
     assert peak <= 3 * ad.TILE * 8
 
 
+@pytest.mark.parametrize("taped", [False, True], ids=["tape-free", "taped"])
+@pytest.mark.parametrize("t_shape", [(6,), (3, 1, 6)], ids=["prior_row", "per_item"])
+def test_broadcast_logits_score_as_their_materialized_broadcast(t_shape, taped):
+    # the tail is taken on the logits' own shape; for binary y that is bit
+    # for bit the tail of the materialized broadcast
+    rng = np.random.default_rng(34)
+    y = (rng.random((3, 4, 6)) < 0.5).astype(np.float64)
+    t = rng.normal(size=t_shape) * 4.0
+    assert y.size <= ad.TILE
+    got = ad.value_of(ad.bernoulli_logpmf(y, ad.Tape().leaf(t) if taped else t))
+    wide = np.broadcast_to(t, y.shape).copy()
+    assert got.tobytes() == ad.bernoulli_logpmf(y, wide).tobytes()
+    assert got.tobytes() == _untiled_bernoulli_logpmf(y, wide).tobytes()
+    params = ad.ParamVector.build({"t": t})
+
+    def fn(view):
+        return ad.tsum(ad.bernoulli_logpmf(y, view["t"]))
+
+    _, grad = ad.value_and_grad(fn, params)
+    fd = ad.finite_difference_gradient(lambda v: ad.value_and_grad(fn, params.with_vector(v))[0],
+                                       params.vector)
+    assert np.max(np.abs(grad - fd)) / max(1.0, np.max(np.abs(fd))) <= 1e-5
+
+
 def test_bernoulli_logpmf_rejects_taped_observations():
     tape = ad.Tape()
     y = tape.leaf(np.ones(3))
@@ -517,6 +541,22 @@ def test_param_vector_zero_outside_keeps_only_prefixed_segments():
 def test_param_vector_duplicate_names_rejected():
     with pytest.raises(ShapeError):
         ad.ParamVector(["a", "a"], [(1,), (1,)], np.zeros(2))
+
+
+def test_param_vector_with_vector_checks_length_and_views_the_new_vector():
+    pv = ad.ParamVector.build({"theta/w": np.zeros((2, 3)), "phi/b": np.zeros(2)})
+    for size in (7, 9):
+        with pytest.raises(ShapeError):
+            pv.with_vector(np.zeros(size))
+    vec = np.arange(8.0)
+    moved = pv.with_vector(vec)
+    assert (moved.names, moved.shapes, moved.size) == (pv.names, pv.shapes, 8)
+    vec[0] = -1.0
+    vec[7] = -7.0
+    np.testing.assert_array_equal(moved.get("theta/w"), np.r_[-1.0, 1.0:6.0].reshape(2, 3))
+    np.testing.assert_array_equal(moved.get("phi/b"), [6.0, -7.0])
+    assert all(np.shares_memory(moved.get(n), vec) for n in moved.names)
+    assert not pv.vector.any()
 
 
 def test_param_vector_replace_checks_shape():

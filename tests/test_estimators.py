@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,27 @@ def test_zero_weight_samples_leave_upper_bound_steps_finite(kind, crn):
     assert np.all(np.isfinite(grad.vector))
 
 
+@pytest.mark.parametrize("crn", [True, False], ids=["crn", "no-crn"])
+@pytest.mark.parametrize("kind", ["elbo", "eubo", "tvo_lower", "tvo_upper", "iwae"])
+def test_zero_weight_steps_raise_or_pass_without_warnings(kind, crn):
+    # E[U'] at beta = 0 is -inf here: a step that reads that knot raises
+    # NumericalError before any -inf - -inf forms, and every other step is
+    # finite, with no RuntimeWarning either way
+    from tvo.objectives import ObjectiveSpec, training_step
+
+    model, params = _zero_weight_toy()
+    step = lambda: training_step(ObjectiveSpec(kind, make_schedule(3), 50),  # noqa: E731
+                                 model, params, np.array([1.0]), 0, crn=crn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if kind in ("elbo", "tvo_lower"):
+            with pytest.raises(NumericalError):
+                step()
+        else:
+            value, grad = step()
+            assert np.isfinite(value) and np.all(np.isfinite(grad.vector))
+
+
 def test_zero_weight_samples_get_zero_covariance_coefficients():
     model, params = _zero_weight_toy()
     betas = np.array([0.0, 0.2, 0.6, 1.0])
@@ -301,6 +324,21 @@ def test_block_noise_equals_the_batch_draw(name, B, S):
             starts.append(items.start)
             np.testing.assert_array_equal(block, whole[items])
         assert starts == list(range(0, B, step))
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+def test_sbn_one_block_noise_equals_the_multi_block_draws(layers):
+    # one block takes every layer's uniforms from rng itself, one after
+    # another; several blocks take them from one generator per layer, moved
+    # to that layer's offset in the stream
+    model = SigmoidBeliefNet(d_x=16, d_z=5, layers=layers)
+    B, S = 5, 3
+    (items, whole), = model.noise_blocks(rng_stream(9, est._STREAM_SAMPLES), B, S, B)
+    assert items == slice(0, B) and whole.shape == (B, S, layers, 5)
+    for step in (1, 2):
+        blocks = list(model.noise_blocks(rng_stream(9, est._STREAM_SAMPLES), B, S, step))
+        assert len(blocks) == -(-B // step)
+        np.testing.assert_array_equal(np.concatenate([block for _, block in blocks]), whole)
 
 
 def test_multi_block_table_matches_the_one_block_draw(monkeypatch):
@@ -554,8 +592,9 @@ def test_inference_network_runs_once_per_table(monkeypatch):
 
 
 def test_blocked_evaluate_matches_table_estimates(monkeypatch):
-    # evaluate tempers only the beta = 0 knot of each block, yet returns
-    # exactly the estimates of a [0, 1] table
+    # evaluate tempers no knot (each block's ELBO contracts its uniform
+    # beta = 0 column directly), yet returns exactly the estimates of a
+    # [0, 1] table
     from tvo.objectives import elbo_estimate, iwae_estimate
     from tvo.trainer import evaluate
 
@@ -574,8 +613,7 @@ def test_blocked_evaluate_matches_table_estimates(monkeypatch):
         monkeypatch.setattr(est, "tempered_columns", recorded)
         iwae, elbo = evaluate(model, params, x, BLOCKED_S, 21)
         monkeypatch.undo()
-        # the beta = 0 column alone, once per item block
-        assert knots == [[0.0]] * -(-x.shape[0] // max(1, est.BLOCK // BLOCKED_S))
+        assert knots == []
         assert iwae == float(np.mean(iwae_estimate(table.log_w)))
         assert elbo == float(np.mean(elbo_estimate(table)))
 
