@@ -16,13 +16,12 @@ import numpy as np
 from .autodiff import finite_difference_gradient, random_check_network, value_and_grad
 from .errors import (ConfigError, DomainError, FormatError, TvoError,
                      UnsupportedEstimatorError)
-from .estimators import (build_weight_table, gradient_std_diagnostic,
+from .estimators import (build_weight_table, gradient_std_diagnostic, reduce_blocks,
                          reinforce_baseline_gradient, reinforce_gradient,
-                         reparam_gradient, score_blocks, tempered_table)
+                         reparam_gradient)
 from .models import (load_checkpoint, random_conjugate_gaussian, random_toy,
                      restore_params)
-from .objectives import (ObjectiveSpec, elbo_estimate, eubo_estimate,
-                         iwae_estimate, training_gradient, tvo_lower, tvo_upper)
+from .objectives import ObjectiveSpec, training_gradient, warn_degenerate
 from .oracles import enumerate_states, ti_identity_check
 from .path import integrand_curve, make_schedule
 from .trainer import (RunConfig, build_dataset, build_model, sweep, train,
@@ -59,9 +58,9 @@ def _add_run_flags(p: argparse.ArgumentParser, checkpoint=False):
             p.add_argument(flag, action="store_true")
         elif f.default is True:
             p.add_argument(flag, type=_on_off, default=f.default, metavar="{on,off}")
-        else:
-            p.add_argument(flag, type=type(f.default), default=f.default,
-                           choices=CHOICES.get(f.name))
+        else:  # unset, eval_items takes at most its default (_dataset)
+            p.add_argument(flag, type=type(f.default), choices=CHOICES.get(f.name),
+                           default=None if f.name == "eval_items" else f.default)
     p.add_argument("--config", default="", help="key=value file; file overrides flags")
     p.add_argument("--format", default="csv", choices=CHOICES["format"])
     if checkpoint:
@@ -100,13 +99,23 @@ def _apply_config_file(args):
 
 
 def _run_config(args) -> RunConfig:
-    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)}).validate()
+    values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    return RunConfig(**{k: v for k, v in values.items() if v is not None}).validate()
+
+
+def _dataset(args, config):
+    """The run's dataset; an eval_items set by flag or config file must fit its test split."""
+    data = build_dataset(config)
+    n = data.test.shape[0]
+    if args.eval_items is not None and args.eval_items > n:
+        raise ConfigError(f"eval_items {args.eval_items} exceeds the {n} items of the test split")
+    return data
 
 
 def _resolve(args):
     """(config, dataset, model, params), restored from --checkpoint if given."""
     config = _run_config(args)
-    data = build_dataset(config)
+    data = _dataset(args, config)
     model = build_model(config, data)
     params = model.init_params(config.seed)
     if args.checkpoint:
@@ -128,7 +137,7 @@ def _emit(args, path, header, rows):
 
 def cmd_train(args) -> int:
     config = _run_config(args)
-    result = train(config)
+    result = train(config, _dataset(args, config))
     for row in result.metrics[-3:]:
         print(f"iter {row.iteration}: objective {row.objective:.4f} "
               f"test log evidence {row.test_log_evidence:.4f} kl gap {row.kl_gap:.4f}")
@@ -146,7 +155,7 @@ def cmd_sweep(args) -> int:
     beta1_list = [float(v) for v in args.beta1_list.split(",")] if args.beta1_list else None
     k_list = [int(v) for v in args.K_list.split(",")] if args.K_list else None
     s_list = [int(v) for v in args.S_list.split(",")] if args.S_list else None
-    rows, _ = sweep(config, beta1_list, k_list, s_list)
+    rows, _ = sweep(config, beta1_list, k_list, s_list, _dataset(args, config))
     for row in rows:
         print("cell %03d beta1=%s K=%s S=%s -> %s logZ=%s" % (row[0], row[1], row[2], row[3], row[5], row[7]))
     if config.out and args.format == "jsonl":
@@ -162,23 +171,14 @@ def cmd_sweep(args) -> int:
 def cmd_eval(args) -> int:
     config, data, model, params = _resolve(args)
     schedule = make_schedule(config.K, config.beta1, config.spacing)
-    items = data.test[:config.eval_items]
     seed = int(rng_stream(config.seed, 5).integers(2 ** 31))
-    estimates = {
-        "elbo": elbo_estimate,
-        "eubo": eubo_estimate,
-        "iwae": lambda table: iwae_estimate(table.log_w),
-        "tvo_lower": lambda table: tvo_lower(table, schedule),
-        "tvo_upper": lambda table: tvo_upper(table, schedule),
-    }
-    # per-item estimates, one item block at a time: no block's latents or
-    # tempered columns outlive it
-    per_item = {name: [] for name in estimates}
-    for _, _, log_w, _, _ in score_blocks(model, params.as_dict(), items, config.eval_samples, seed):
-        table = tempered_table(log_w, schedule)
-        for name, estimate in estimates.items():
-            per_item[name].append(estimate(table))
-    rows = [(name, float(np.mean(np.concatenate(v)))) for name, v in per_item.items()]
+    streamed = reduce_blocks(model, params, data.test[:config.eval_items],
+                             config.eval_samples, seed, schedule)
+    warn_degenerate(streamed.ess[:, -1])
+    g, widths = streamed.g, schedule.widths
+    per_item = {"elbo": streamed.elbo, "eubo": g[:, -1], "iwae": streamed.iwae,
+                "tvo_lower": g[:, :-1] @ widths, "tvo_upper": g[:, 1:] @ widths}
+    rows = [(name, float(np.mean(v))) for name, v in per_item.items()]
     for name, value in rows:
         print(f"{name} {value!r}")
     if args.out:
@@ -204,9 +204,7 @@ def cmd_check_identity(args) -> int:
     ok = residual < 1e-5
     print(f"ti-identity model={args.model} grid={args.grid} residual={residual!r} "
           f"{'PASS' if ok else 'FAIL'}")
-    if args.report_only:
-        return 0
-    return 0 if ok else 1
+    return 0 if ok or args.report_only else 1
 
 
 def cmd_check_gradients(args) -> int:

@@ -35,8 +35,10 @@ _STREAM_BASELINE = 103
 _STREAM_FRESH = 107
 _STREAM_SIMULATE = 109
 
-# samples per item block when a tape-free table is scored: the (items, S, d)
-# temporaries of one block stay cache-sized instead of streaming through DRAM
+# samples per item block when a tape-free table is scored, at most: a block
+# holds min(BLOCK, autodiff.TILE // w) samples, w the model's widest
+# per-sample hidden layer (d_z for the SBN and the VAE), so none of its
+# (samples, w) activations exceeds one TILE and each stays cache-sized
 BLOCK = 1024
 
 
@@ -96,10 +98,6 @@ class WeightTable:
     single: bool = False
 
     @property
-    def n_items(self) -> int:
-        return self.log_w.shape[0]
-
-    @property
     def n_samples(self) -> int:
         return self.log_w.shape[1]
 
@@ -147,8 +145,9 @@ class WeightTable:
 
     def deviations(self, f, mean, ks=slice(None)) -> np.ndarray:
         """f(z_s) - mean per item, knot of `ks` and sample, (B, T, S); a dead
-        sample's deviation reads 0 where beta > 0."""
-        dev = f[:, None, :] - mean[:, :, None]
+        sample's deviation reads 0 where beta > 0, and a deviation from a
+        non-finite mean reads nan (inf - inf is never formed)."""
+        dev = f[:, None, :] - np.where(np.isfinite(mean), mean, np.nan)[:, :, None]
         if self.dead is not None:
             dev[self.dead[0][:, None, :] & (self.betas[ks] > 0.0)[:, None]] = 0.0
         return dev
@@ -165,21 +164,17 @@ def tempered_table(log_w, schedule, zs=None, x=None, seed=0, single=False) -> We
                        zs=zs, x=x, seed=int(seed), single=single)
 
 
-def _check_support(log_w):
-    if np.any(np.all(log_w == -np.inf, axis=1)):
-        raise DegenerateWeightsError("all importance weights are zero for some observation")
-
-
 def score_blocks(model, view, x, S, seed):
     """The one loop that turns proposal noise into scores: yields
     (items, z, U', log p, log q) for consecutive item blocks of x.
 
     A lifted view is scored as one block on its tape, so a training step
     differentiates the very forward pass that produced its weights, and the
-    scores are Vars; a plain view is scored in blocks of max(1, BLOCK // S)
-    items, as plain arrays. Each block's noise (model.noise_blocks) is a
-    fresh array drawn just before the block is scored, so a consumer that
-    drops z holds one block's latents, whatever items x S. A block holding a
+    scores are Vars; a plain view is scored as plain arrays in blocks of
+    max(1, min(BLOCK, TILE // w) // S) items (w as at BLOCK). Each block's
+    noise (model.noise_blocks) is a fresh array drawn just before the block
+    is scored, so a consumer that drops z holds one block's latents, whatever
+    items x S. A block holding a
     row whose weights are all zero raises DegenerateWeightsError: the
     proposal missed the joint's support entirely.
     """
@@ -191,14 +186,65 @@ def score_blocks(model, view, x, S, seed):
     if x.shape[0] == 0:
         raise ShapeError("need at least one item to score")
     taped = any(isinstance(v, ad.Var) for v in view.values())
-    step = x.shape[0] if taped else max(1, BLOCK // S)
+    step = x.shape[0] if taped else max(1, min(BLOCK, ad.TILE // getattr(model, "d_z", 1)) // S)
     rng = rng_stream(seed, _STREAM_SAMPLES)
     for items, noise in model.noise_blocks(rng, x.shape[0], S, step):
         z, lq = model.sample_q(view, x[items], noise)
         lj = model.log_joint(view, x[items], z)
         u = ad.sub(lj, lq)
-        _check_support(value_of(u))
+        if np.any(np.all(value_of(u) == -np.inf, axis=1)):
+            raise DegenerateWeightsError("all importance weights are zero for some observation")
         yield items, z, u, lj, lq
+
+
+def iwae_estimate(log_w):
+    """log mean importance weight, log-sum-exp(log w) - log S."""
+    log_w = np.asarray(log_w, dtype=np.float64)
+    single = log_w.ndim == 1
+    if single:
+        log_w = log_w[None, :]
+    out = ad.logsumexp(log_w, axis=1) - np.log(log_w.shape[1])
+    return float(out[0]) if single else out
+
+
+@dataclass
+class Streamed:
+    """Per-item estimates of a batch (reduce_blocks); knot fields are None without a grid."""
+
+    iwae: np.ndarray              # (n,) log mean weight
+    elbo: np.ndarray              # (n,) uniform mean of U'
+    g: np.ndarray = None          # (n, K+1) like var and ess: sum_s w_s^beta U'(z_s)
+    var: np.ndarray = None        # delta method: sum_s (w_s^beta)^2 (U'(z_s) - g)^2
+    ess: np.ndarray = None        # 1 / sum_s (w_s^beta)^2
+
+
+def reduce_blocks(model, params, x, S, seed, betas=None) -> Streamed:
+    """Per-item IWAE and ELBO of S proposal samples per item of x and, given
+    a beta grid, per knot g, the delta-method variance and the ESS.
+
+    The one consumer of tape-free score_blocks: each block is reduced to its
+    items' numbers, the whole table's bit for bit, before the next is drawn.
+    The ELBO contracts a uniform (n, 1, S) column as WeightTable.g would
+    (log_w.mean rounds differently), so no grid means no tempering; with
+    one, each block is tempered once, and its variance and ESS share one
+    pass over its squared weights. A non-finite g reads nan variance. A
+    block's columns are released only once the next block's exist, or
+    glibc trims the heap top after each block and the next faults it in.
+    """
+    grid = None if betas is None else _as_beta_grid(betas)
+    parts = []
+    for _, _, log_w, _, _ in score_blocks(model, params.as_dict(), x, S, seed):
+        uniform = np.full((log_w.shape[0], 1, S), 1.0 / S)
+        parts.append([iwae_estimate(log_w), np.einsum("bts,bs->bt", uniform, log_w)[:, 0]])
+        if grid is not None:
+            table = WeightTable(grid, log_w, tempered_columns(log_w, grid), None, None, seed)
+            dev = table.deviations(log_w, table.g)
+            w2 = np.square(table.norm_w, out=table.norm_w)
+            dev *= dev
+            dev *= w2
+            parts[-1] += [table.g, dev.sum(axis=2), 1.0 / w2.sum(axis=2)]
+            del dev
+    return Streamed(*map(np.concatenate, zip(*parts)))
 
 
 def build_weight_table(model, params, x, S, schedule, seed) -> WeightTable:
@@ -383,7 +429,7 @@ def reinforce_gradient(model, params, f, table: WeightTable, beta_index) -> Grad
         raise UnsupportedEstimatorError(
             "plain REINFORCE needs the normalized path density, which is only "
             "tractable at beta = 0; use the covariance estimator instead")
-    zero = np.zeros((table.n_items, 1))
+    zero = np.zeros((table.log_w.shape[0], 1))
     return GradientEstimate(_table_gradient(model, params, f, table, beta_index, zero))
 
 

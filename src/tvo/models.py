@@ -138,11 +138,14 @@ class ToyBernoulli(LatentModel):
         self.n_x = 1 << d_x
 
     def init_params(self, seed) -> ParamVector:
-        rng = rng_stream(seed, 11)
+        return self._tables(rng_stream(seed, 11), 0.5)
+
+    def _tables(self, rng, scale) -> ParamVector:
+        """The three softmax tables, scale * standard normal draws from rng."""
         return ParamVector.build({
-            "theta/prior": 0.5 * rng.normal(size=(self.n_z,)),
-            "theta/likelihood": 0.5 * rng.normal(size=(self.n_z, self.n_x)),
-            "phi/proposal": 0.5 * rng.normal(size=(self.n_x, self.n_z)),
+            "theta/prior": scale * rng.normal(size=(self.n_z,)),
+            "theta/likelihood": scale * rng.normal(size=(self.n_z, self.n_x)),
+            "phi/proposal": scale * rng.normal(size=(self.n_x, self.n_z)),
         })
 
     def all_states(self) -> np.ndarray:
@@ -204,13 +207,7 @@ class ToyBernoulli(LatentModel):
 
 def random_toy(seed, m=2, d_x=1, scale=1.0) -> tuple[ToyBernoulli, ParamVector]:
     model = ToyBernoulli(m=m, d_x=d_x)
-    rng = rng_stream(seed, 13)
-    params = ParamVector.build({
-        "theta/prior": scale * rng.normal(size=(model.n_z,)),
-        "theta/likelihood": scale * rng.normal(size=(model.n_z, model.n_x)),
-        "phi/proposal": scale * rng.normal(size=(model.n_x, model.n_z)),
-    })
-    return model, params
+    return model, model._tables(rng_stream(seed, 13), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -298,19 +295,19 @@ class ConjugateGaussian(LatentModel):
         v = v0 + vl
         return float(-0.5 * LOG_2PI - 0.5 * np.log(v) - 0.5 * (x - mu0) ** 2 / v)
 
-    def analytic_g(self, params, x, betas):
-        """Closed-form g(beta) = E_pi_beta[U'] on a beta grid.
-
-        pi_beta is Gaussian with precision interpolated between the posterior
-        side and the proposal side; U' is quadratic in z, so the expectation
-        only needs the first two moments.
-        """
+    def _path_moments(self, params, x, betas):
+        """(mq, vq, mu_post, v_post, variance, mean) of the Gaussian pi_beta,
+        whose precision interpolates the posterior's and the proposal's."""
         betas = np.asarray(betas, dtype=np.float64)
         _, _, _, mq, vq, mu_post, v_post = self._constants(params, x)
+        v_b = 1.0 / (betas / v_post + (1.0 - betas) / vq)
+        return mq, vq, mu_post, v_post, v_b, v_b * (betas * mu_post / v_post + (1.0 - betas) * mq / vq)
+
+    def analytic_g(self, params, x, betas):
+        """Closed-form g(beta) = E_pi_beta[U'] on a beta grid; U' is quadratic
+        in z, so the expectation only needs pi_beta's first two moments."""
+        mq, vq, mu_post, v_post, v_b, m_b = self._path_moments(params, x, betas)
         log_p = self.analytic_log_evidence(params, x)
-        lam = betas / v_post + (1.0 - betas) / vq
-        v_b = 1.0 / lam
-        m_b = v_b * (betas * mu_post / v_post + (1.0 - betas) * mq / vq)
         e_post = -0.5 * (LOG_2PI + np.log(v_post)) - (v_b + (m_b - mu_post) ** 2) / (2.0 * v_post)
         e_q = -0.5 * (LOG_2PI + np.log(vq)) - (v_b + (m_b - mq) ** 2) / (2.0 * vq)
         out = log_p + e_post - e_q
@@ -318,13 +315,9 @@ class ConjugateGaussian(LatentModel):
 
     def analytic_var_u(self, params, x, betas):
         """Var_pi_beta[U'] in closed form (variance of a Gaussian quadratic)."""
-        betas = np.asarray(betas, dtype=np.float64)
-        _, _, _, mq, vq, mu_post, v_post = self._constants(params, x)
+        mq, vq, mu_post, v_post, v_b, m_b = self._path_moments(params, x, betas)
         alpha = 0.5 * (1.0 / vq - 1.0 / v_post)
         gamma = mu_post / v_post - mq / vq
-        lam = betas / v_post + (1.0 - betas) / vq
-        v_b = 1.0 / lam
-        m_b = v_b * (betas * mu_post / v_post + (1.0 - betas) * mq / vq)
         out = 2.0 * alpha ** 2 * v_b ** 2 + v_b * (2.0 * alpha * m_b + gamma) ** 2
         return float(out) if out.ndim == 0 else out
 
@@ -361,12 +354,8 @@ class ConjugateGaussian(LatentModel):
 
     def analytic_sleep_gradient(self, params) -> np.ndarray:
         """d E_{p(x,z)}[-log q(z|x)] / d(phi), the inference-compilation target."""
-        mu0 = float(params.get("theta/prior_mean"))
-        v0 = np.exp(2.0 * float(params.get("theta/prior_log_std")))
-        vl = np.exp(2.0 * float(params.get("theta/lik_log_std")))
-        a = float(params.get("phi/q_slope"))
-        b = float(params.get("phi/q_bias"))
-        vq = np.exp(2.0 * float(params.get("phi/q_log_std")))
+        mu0, v0, vl, _, vq, _, _ = self._constants(params, 0.0)
+        a, b = float(params.get("phi/q_slope")), float(params.get("phi/q_bias"))
         resid = mu0 * (1.0 - a) - b
         k = (1.0 - a) ** 2 * v0 + a ** 2 * vl + resid ** 2
         grads = {

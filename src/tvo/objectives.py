@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tape, value_of
 from .errors import ConfigError, DegenerateWeightsWarning, ShapeError
 from .estimators import (GradientEstimate, WeightTable, _finish, _score_coefficients,
                          _score_surrogate, _scored_table, _STREAM_FRESH,
-                         _STREAM_SIMULATE, build_weight_table,
+                         _STREAM_SIMULATE, build_weight_table, iwae_estimate,
                          reinforce_baseline_gradient, reparam_gradient)
 from .path import PartitionSchedule, make_schedule
 from .util import effective_sample_size, rng_stream
@@ -70,12 +69,15 @@ def eubo_estimate(table: WeightTable):
     Warns when the effective sample size of that column drops below 2.
     """
     k = table.beta_index(1.0)
-    col = table.column(k)
-    ess = effective_sample_size(col, axis=1)
+    warn_degenerate(effective_sample_size(table.column(k), axis=1))
+    return table.squeeze(table.g[:, k])
+
+
+def warn_degenerate(ess):
+    """Warns when an effective sample size of the posterior-end column is below 2."""
     if np.any(ess < 2.0):
         warnings.warn("effective sample size below 2 in the posterior-end column",
-                      DegenerateWeightsWarning, stacklevel=2)
-    return table.squeeze(table.g[:, k])
+                      DegenerateWeightsWarning, stacklevel=3)
 
 
 def _check_knots(table: WeightTable, schedule: PartitionSchedule):
@@ -94,16 +96,6 @@ def tvo_upper(table: WeightTable, schedule: PartitionSchedule):
     """Right Riemann sum sum_k width_k g(beta_k); K = 1 is the EUBO exactly."""
     _check_knots(table, schedule)
     return table.squeeze(table.g[:, 1:] @ schedule.widths)
-
-
-def iwae_estimate(log_w):
-    """log mean importance weight, log-sum-exp(log w) - log S."""
-    log_w = np.asarray(log_w, dtype=np.float64)
-    single = log_w.ndim == 1
-    if single:
-        log_w = log_w[None, :]
-    out = ad.logsumexp(log_w, axis=1) - np.log(log_w.shape[1])
-    return float(out[0]) if single else out
 
 
 def objective_estimate(spec: ObjectiveSpec, table: WeightTable):

@@ -101,26 +101,18 @@ def integrand_curve(model, params, x, betas, S, seed) -> IntegrandCurve:
     One batch of S proposal samples per datum serves every grid point; only
     the tempered weights change along the grid. Standard errors use the
     self-normalized importance-sampling delta method, pooled over data items.
-    The batch is drawn, scored and tempered one item block at a time
-    (estimators.score_blocks), and each block is reduced to its items'
-    estimates and variances before the next is drawn, so neither the
-    batch's latents nor its (B, K+1, S) columns ever exist at once; the
-    result is the whole-table one bit for bit. A non-finite estimate at any
-    knot raises NumericalError before its block's deviations are formed.
+    The batch is streamed block by block (estimators.reduce_blocks), so
+    neither its latents nor its (B, K+1, S) columns ever exist at once, and
+    the result is the whole-table one bit for bit. A non-finite estimate at
+    any knot raises NumericalError.
     """
-    from .estimators import score_blocks, tempered_table  # deferred: estimators imports path
+    from .estimators import reduce_blocks  # deferred: estimators imports path
 
-    g, var_hat = [], []
-    for _, _, log_w, _, _ in score_blocks(model, params.as_dict(), x, S, seed):
-        table = tempered_table(log_w, betas)
-        if not np.all(np.isfinite(table.g)):
-            raise NumericalError("non-finite integrand estimate; weights degenerate on this grid")
-        g.append(table.g)
-        # U'(z_s) equals the log importance weight
-        var_hat.append(np.sum(table.norm_w ** 2 * table.deviations(log_w, table.g) ** 2, axis=2))
-    g = np.concatenate(g)
+    streamed = reduce_blocks(model, params, x, S, seed, betas)
+    g = streamed.g
+    if not np.all(np.isfinite(g)):
+        raise NumericalError("non-finite integrand estimate; weights degenerate on this grid")
     # averaged over contiguous per-knot rows, as np.mean reduces one knot's
     # estimates, so grid endpoints reproduce the mean ELBO/EUBO bit for bit
     values = np.ascontiguousarray(g.T).mean(axis=1)
-    std_err = np.sqrt(np.concatenate(var_hat).sum(axis=0)) / g.shape[0]
-    return IntegrandCurve(table.betas, values, std_err)
+    return IntegrandCurve(betas, values, np.sqrt(streamed.var.sum(axis=0)) / g.shape[0])

@@ -7,6 +7,7 @@ column is left empty so repeated runs are byte-identical.
 """
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 import time
@@ -16,10 +17,10 @@ import numpy as np
 
 from .autodiff import TILE, ParamVector
 from .errors import ConfigError, DomainError, FormatError, NumericalError, TvoError
-from .estimators import score_blocks
+from .estimators import gradient_std_diagnostic, reduce_blocks
 from .models import (ConjugateGaussian, GaussianVAE, SigmoidBeliefNet,
                      ToyBernoulli, save_checkpoint)
-from .objectives import ObjectiveSpec, iwae_estimate, training_step
+from .objectives import ObjectiveSpec, training_gradient, training_step
 from .path import make_schedule
 from .util import rng_stream, write_csv
 
@@ -104,33 +105,29 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 
-def read_idx_images(path) -> np.ndarray:
-    """IDX image file -> (N, rows*cols) uint8 array."""
+def _read_idx(path, kind, magic_want, dims) -> np.ndarray:
+    """IDX file of `dims` big-endian sizes after its magic -> (N, rest) uint8 array."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 16:
+    head = 4 * (1 + dims)
+    if len(blob) < head:
         raise FormatError(f"{path}: truncated header at byte {len(blob)}")
-    magic, n, rows, cols = struct.unpack_from(">IIII", blob, 0)
-    if magic != IDX_IMAGE_MAGIC:
-        raise FormatError(f"{path}: bad image magic {magic:#010x} at byte 0")
-    expected = 16 + n * rows * cols
-    if len(blob) < expected:
-        raise FormatError(f"{path}: truncated image data at byte {len(blob)} (need {expected})")
-    data = np.frombuffer(blob, dtype=np.uint8, count=n * rows * cols, offset=16)
-    return data.reshape(n, rows * cols)
+    magic, n, *rest = struct.unpack_from(">" + "I" * (1 + dims), blob, 0)
+    if magic != magic_want:
+        raise FormatError(f"{path}: bad {kind} magic {magic:#010x} at byte 0")
+    width = int(np.prod(rest))
+    if len(blob) < head + n * width:
+        raise FormatError(f"{path}: truncated {kind} data at byte {len(blob)} (need {head + n * width})")
+    return np.frombuffer(blob, dtype=np.uint8, count=n * width, offset=head).reshape(n, width)
+
+
+def read_idx_images(path) -> np.ndarray:
+    """IDX image file -> (N, rows*cols) uint8 array."""
+    return _read_idx(path, "image", IDX_IMAGE_MAGIC, 3)
 
 
 def read_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8:
-        raise FormatError(f"{path}: truncated header at byte {len(blob)}")
-    magic, n = struct.unpack_from(">II", blob, 0)
-    if magic != IDX_LABEL_MAGIC:
-        raise FormatError(f"{path}: bad label magic {magic:#010x} at byte 0")
-    if len(blob) < 8 + n:
-        raise FormatError(f"{path}: truncated label data at byte {len(blob)} (need {8 + n})")
-    return np.frombuffer(blob, dtype=np.uint8, count=n, offset=8)
+    return _read_idx(path, "label", IDX_LABEL_MAGIC, 1)[:, 0]
 
 
 @dataclass
@@ -365,19 +362,10 @@ class TrainResult:
 
 
 def evaluate(model, params, items, S_eval, seed):
-    """(mean IWAE log-evidence, mean ELBO) over a fixed eval subset.
-
-    The items are drawn and scored block by block (score_blocks), and no
-    latent or log w outlives its block: each block gives its items' IWAE
-    and their ELBO, its uniform beta = 0 column contracted as WeightTable.g
-    would (log_w.mean rounds differently) without building that table.
-    """
-    iwae, elbo = [], []
-    for _, _, log_w, _, _ in score_blocks(model, params.as_dict(), items, S_eval, seed):
-        iwae.append(iwae_estimate(log_w))
-        uniform = np.full((log_w.shape[0], 1, S_eval), 1.0 / S_eval)
-        elbo.append(np.einsum("bts,bs->bt", uniform, log_w)[:, 0])
-    return float(np.mean(np.concatenate(iwae))), float(np.mean(np.concatenate(elbo)))
+    """(mean IWAE log-evidence, mean ELBO) over a fixed eval subset, streamed
+    block by block without tempering (estimators.reduce_blocks)."""
+    streamed = reduce_blocks(model, params, items, S_eval, seed)
+    return float(np.mean(streamed.iwae)), float(np.mean(streamed.elbo))
 
 
 def train(config: RunConfig, data: Dataset = None) -> TrainResult:
@@ -392,6 +380,7 @@ def train(config: RunConfig, data: Dataset = None) -> TrainResult:
     states = [AdamState.for_params(params, lr=config.lr) for _ in specs]
     eval_interval = config.eval_interval or max(1, config.iters // 10)
     eval_items = data.test[:config.eval_items]
+    config = replace(config, eval_items=eval_items.shape[0])  # config.cfg: the count scored
     metrics, sleep_metrics, events = [], [], []
     aborted = False
     last_good = params
@@ -452,10 +441,8 @@ def train(config: RunConfig, data: Dataset = None) -> TrainResult:
 def _maybe_grad_std(config, spec, model, params, x_batch, it):
     if not config.grad_std_every or (it + 1) % config.grad_std_every:
         return None
-    from .estimators import gradient_std_diagnostic
 
     def estimator(rep_seed):
-        from .objectives import training_gradient
         return training_gradient(spec, model, params, x_batch, rep_seed, crn=config.crn)
 
     return gradient_std_diagnostic(estimator, repetitions=10,
@@ -480,28 +467,21 @@ def sweep(config: RunConfig, beta1_list=None, K_list=None, S_list=None, data: Da
     beta1_axis = list(beta1_list) if beta1_list else [config.beta1]
     k_axis = list(K_list) if K_list else [config.K]
     s_axis = list(S_list) if S_list else [config.S]
-    rows = []
-    results = []
-    cell = 0
-    for beta1 in beta1_axis:
-        for K in k_axis:
-            for S in s_axis:
-                cell_out = f"{config.out}/cell{cell:03d}" if config.out else ""
-                cell_config = replace(config, beta1=beta1, K=K, S=S,
-                                      seed=config.seed + cell, out=cell_out)
-                try:
-                    result = train(cell_config, data)
-                    final = result.metrics[-1] if result.metrics else None
-                    rows.append((cell, beta1, K, S, cell_config.seed,
-                                 "aborted" if result.aborted else "ok",
-                                 final.objective if final else None,
-                                 result.final_test_log_evidence))
-                    results.append(result)
-                except (TvoError, OSError) as exc:
-                    rows.append((cell, beta1, K, S, cell_config.seed,
-                                 f"error: {type(exc).__name__}: {exc}", None, None))
-                    results.append(None)
-                cell += 1
+    rows, results = [], []
+    for cell, (beta1, K, S) in enumerate(itertools.product(beta1_axis, k_axis, s_axis)):
+        cell_out = f"{config.out}/cell{cell:03d}" if config.out else ""
+        cell_config = replace(config, beta1=beta1, K=K, S=S, seed=config.seed + cell, out=cell_out)
+        try:
+            result = train(cell_config, data)
+            final = result.metrics[-1] if result.metrics else None
+            rows.append((cell, beta1, K, S, cell_config.seed,
+                         "aborted" if result.aborted else "ok",
+                         final.objective if final else None, result.final_test_log_evidence))
+            results.append(result)
+        except (TvoError, OSError) as exc:
+            rows.append((cell, beta1, K, S, cell_config.seed,
+                         f"error: {type(exc).__name__}: {exc}", None, None))
+            results.append(None)
     if config.out:
         os.makedirs(config.out, exist_ok=True)
         write_csv(os.path.join(config.out, "sweep.csv"), SWEEP_COLUMNS, rows)

@@ -254,6 +254,24 @@ def test_empty_batches_and_negative_counts_are_config_errors(tmp_path, capsys, c
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
 
+def test_eval_items_beyond_the_test_split_are_config_errors(tmp_path, capsys):
+    # a set --eval-items (flag or config file) must fit the test split; the
+    # unset default takes at most its 200 items
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eval_items=9\n")
+    small = [*TOY, "--test-items", "5", "--iters", "2", "--eval-samples", "4"]
+    runs = {"train": ["train", *small], "sweep": ["sweep", *small], "eval": ["eval", *small],
+            "export-curve": ["export-curve", *small, "--betas", "0,1",
+                             "--out", str(tmp_path / "curve.csv")]}
+    for argv in runs.values():
+        for given in (["--eval-items", "200"], ["--config", str(cfg)]):
+            assert run(argv + given) == 2
+            err = capsys.readouterr().err
+            assert "eval_items" in err and " 5 " in err and (" 200 " in err or " 9 " in err)
+        assert run(argv + ["--eval-items", "5"]) == 0
+        assert run(argv) == 0
+
+
 def test_checkpoint_flag_only_where_it_is_read(tmp_path):
     for command in ("train", "sweep", "check-identity"):
         assert run([command, *TOY, "--checkpoint", str(tmp_path / "x.tvom")]) == 2

@@ -342,8 +342,9 @@ def test_sbn_one_block_noise_equals_the_multi_block_draws(layers):
 
 
 def test_multi_block_table_matches_the_one_block_draw(monkeypatch):
-    # the noise is drawn for the whole batch in stream order, so thresholding
-    # it per item block gives the one-block table's zs and log_w bit for bit
+    # each block's noise is drawn fresh when the block is reached, yet in the
+    # whole batch's stream order, so thresholding it per item block gives the
+    # one-block table's zs and log_w bit for bit
     model = SigmoidBeliefNet(d_x=16, d_z=5)
     params = model.init_params(3)
     x = _binary_items(6, 16)
@@ -357,15 +358,38 @@ def test_multi_block_table_matches_the_one_block_draw(monkeypatch):
 @pytest.mark.parametrize("B,S", [(7, BLOCKED_S), (3, est.BLOCK + 76)],
                          ids=["ragged-last-block", "one-item-blocks"])
 def test_score_blocks_scores_a_lifted_view_as_one_block(B, S):
-    # a plain view is scored in blocks of max(1, BLOCK // S) items; a lifted
-    # view in one block of all B items, however many samples that is
+    # a plain view is scored in blocks of max(1, min(BLOCK, TILE // d_z) // S)
+    # items; a lifted view in one block of all B items, however many samples
     model = SigmoidBeliefNet(d_x=16, d_z=5)
     params = model.init_params(3)
     x = _binary_items(B, 16)
     plain = [items for items, *_ in est.score_blocks(model, params.as_dict(), x, S, 9)]
-    assert len(plain) == -(-B // max(1, est.BLOCK // S))
+    assert len(plain) == -(-B // max(1, min(est.BLOCK, ad.TILE // model.d_z) // S))
     lifted = [items for items, *_ in est.score_blocks(model, params.lift(ad.Tape()), x, S, 9)]
     assert lifted == [slice(0, B)]
+
+
+@pytest.mark.parametrize("model,S,items", [
+    (SigmoidBeliefNet(d_x=16, d_z=12), 500, 2),
+    (GaussianVAE(d_x=16, d_z=20), 200, 5),
+    (SigmoidBeliefNet(d_x=16, d_z=200, nonlinear=True), 100, 3),
+], ids=["desk-width", "vae-width", "full-width"])
+def test_plain_blocks_hold_at_most_one_tile_of_hidden_activation(monkeypatch, model, S, items):
+    # a plain block holds min(BLOCK, TILE // d_z) samples: the desk and vae
+    # evaluation blocks keep BLOCK samples, a full-width block gets 3 items
+    # at S = 100, and no activation of its layers exceeds one TILE
+    assert items == max(1, min(est.BLOCK, ad.TILE // model.d_z) // S)
+    sizes = []
+    affine, tanh = ad.affine, ad.tanh
+    monkeypatch.setattr(ad, "affine", lambda *a: sizes.append(ad.value_of(affine(*a)).size)
+                        or affine(*a))
+    monkeypatch.setattr(ad, "tanh", lambda v: sizes.append(ad.value_of(v).size) or tanh(v))
+    blocks = [it for it, *_ in est.score_blocks(model, model.init_params(3).as_dict(),
+                                                 _binary_items(7, 16), S, 9)]
+    assert [it.stop - it.start for it in blocks] == [items] * (7 // items) + [7 % items] * (7 % items > 0)
+    assert max(sizes) <= ad.TILE
+    if model.d_z == 200:
+        assert max(sizes) == items * S * model.d_z
 
 
 def test_a_one_block_taped_table_holds_the_scored_arrays(monkeypatch):
@@ -435,8 +459,8 @@ def test_streamed_tvo_eval_matches_the_whole_table(monkeypatch, capsys, name):
     resolve = cli._resolve
     monkeypatch.setattr(cli, "_resolve", lambda args: (*resolve(args)[:2], model, params))
     scored = []
-    score_blocks = cli.score_blocks
-    monkeypatch.setattr(cli, "score_blocks", lambda *args: scored.append(args) or score_blocks(*args))
+    score_blocks = est.score_blocks
+    monkeypatch.setattr(est, "score_blocks", lambda *args: scored.append(args) or score_blocks(*args))
     dataset = ["--dataset", "synthetic-toy", "--d-x", "1", "--m-latent", "2"] \
         if name == "zero-weight-toy" else ["--model", "sbn", "--dataset", "synthetic-sbn", "--d-x", "16"]
     assert cli.main(["eval", *dataset, "--eval-items", "5", "--eval-samples", str(BLOCKED_S),
@@ -754,6 +778,22 @@ def test_gradient_estimate_propagates_segment_name_on_nonfinite():
 
     with pytest.raises(Exception, match="segment"):
         est.covariance_gradient(model, params, f_bad, table, 1)
+
+
+def test_a_non_finite_explicit_f_leaks_no_warning_from_estimators():
+    # f is inf for every sample: its deviations from the inf mean read nan
+    # without forming inf - inf, and the gradient fails naming a segment
+    model, params, x = toy_setup()
+    table = est.build_weight_table(model, params, x, 6, np.array([0.0, 1.0]), 3)
+
+    def f_bad(view, xs, zs):
+        return ad.add(np.zeros((1, 6)), ad.div(ad.tsum(view["theta/prior"]), 0.0))
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError, match="segment"):
+            est.covariance_gradient(model, params, f_bad, table, 1)
+    assert [str(w.message) for w in caught if w.filename == est.__file__] == []
 
 
 # reinforce family ------------------------------------------------------------
