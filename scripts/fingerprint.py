@@ -3,6 +3,7 @@
 that a change leaves every number bit-identical.
 
     PYTHONPATH=src python3 scripts/fingerprint.py [--config desk full vae estimators] [--dump DIR]
+    PYTHONPATH=src python3 scripts/fingerprint.py --compare DIR_A DIR_B
 
 For each configuration of scripts/step_memory.py (desk, full, vae) it runs,
 in one process and from fixed parameters:
@@ -28,6 +29,11 @@ and gradient of autodiff.random_check_network seeds 0-49.
 It prints one JSON object: per configuration, the SHA-256 over those arrays'
 bytes, in that order, and the number of arrays. --dump DIR also writes each
 configuration's arrays to DIR/<config>.npz.
+
+--compare DIR_A DIR_B reads two --dump directories instead and prints each
+array whose values differ, with its largest elementwise relative difference
+|a - b| / max(|a|, |b|). It exits 1 when the two dumps differ in their
+configurations, array names or shapes, and 0 otherwise.
 
 Digests depend on the host (CPU, numpy and BLAS builds): compare two commits
 on one host, never against a stored digest. BLAS runs on one thread, pinned
@@ -158,12 +164,57 @@ def digest(arrays):
     return h.hexdigest()
 
 
+def relative_difference(a, b) -> float:
+    """Largest |a - b| / max(|a|, |b|); equal entries (nan with nan too) count
+    0, and a nan or infinity facing anything else counts inf."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    rel = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, rel)
+    return float(np.max(np.nan_to_num(rel, nan=np.inf), initial=0.0))
+
+
+def compare(dir_a, dir_b) -> int:
+    """Print the arrays of two dump directories that differ; 1 when their
+    configurations, array names or shapes differ."""
+    names = [sorted(f for f in os.listdir(d) if f.endswith(".npz")) for d in (dir_a, dir_b)]
+    if names[0] != names[1]:
+        print(f"configurations differ: {names[0]} vs {names[1]}")
+        return 1
+    status = differ = total = 0
+    for name in names[0]:
+        a, b = np.load(os.path.join(dir_a, name)), np.load(os.path.join(dir_b, name))
+        config = name[:-len(".npz")]
+        if a.files != b.files:
+            print(f"{config}: array names differ: {a.files} vs {b.files}")
+            status = 1
+            continue
+        for label in a.files:
+            total += 1
+            x, y = a[label], b[label]
+            if x.shape != y.shape:
+                print(f"{config}.{label}: shape {x.shape} vs {y.shape}")
+                status = 1
+            elif not np.array_equal(x, y, equal_nan=True):
+                differ += 1
+                print(f"{config}.{label}: largest relative difference {relative_difference(x, y)!r}")
+    print(f"{differ} of {total} arrays differ in value")
+    return status
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     names = [*CONFIGS, "estimators"]
     ap.add_argument("--config", nargs="+", choices=names, default=names)
     ap.add_argument("--dump", metavar="DIR", help="also write each configuration's arrays to DIR/<config>.npz")
+    ap.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
+                    help="compare two --dump directories instead of running")
     args = ap.parse_args()
+    if args.compare:
+        missing = [d for d in args.compare if not os.path.isdir(d)]
+        if missing:
+            ap.error(f"not a directory: {', '.join(missing)}")
+        return compare(*args.compare)
 
     result = {}
     for name in args.config:

@@ -23,10 +23,9 @@ from .models import (load_checkpoint, random_conjugate_gaussian, random_toy,
                      restore_params)
 from .objectives import ObjectiveSpec, training_gradient, warn_degenerate
 from .oracles import enumerate_states, ti_identity_check
-from .path import integrand_curve, make_schedule
-from .trainer import (RunConfig, build_dataset, build_model, sweep, train,
-                      METRICS_COLUMNS)
-from .util import rng_stream, write_csv, write_jsonl
+from .path import IntegrandCurve, integrand_curve, make_schedule
+from .trainer import FORMATS, RunConfig, build_dataset, build_model, sweep, train
+from .util import rng_stream, write_csv
 
 
 # allowed values of each setting that takes one of a fixed set
@@ -37,7 +36,7 @@ CHOICES = {
     "data_source": ["real", "model_simulated"],
     "spacing": ["equal", "log"],
     "dataset": ["synthetic-toy", "synthetic-sbn", "gaussian", "mnist"],
-    "format": ["csv", "jsonl"],
+    "format": FORMATS,
 }
 
 
@@ -47,6 +46,17 @@ def _on_off(text):
     if value is None:
         raise argparse.ArgumentTypeError(f"expected on or off, got {text!r}")
     return value
+
+
+def _list_of(kind):
+    """Parser of a comma list of `kind` values; empty text is the empty list."""
+    def parse(text):
+        try:
+            return [kind(v) for v in text.split(",")] if text else []
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma list of {kind.__name__} values, got {text!r}") from None
+    return parse
 
 
 def _add_run_flags(p: argparse.ArgumentParser, checkpoint=False):
@@ -62,7 +72,6 @@ def _add_run_flags(p: argparse.ArgumentParser, checkpoint=False):
             p.add_argument(flag, type=type(f.default), choices=CHOICES.get(f.name),
                            default=None if f.name == "eval_items" else f.default)
     p.add_argument("--config", default="", help="key=value file; file overrides flags")
-    p.add_argument("--format", default="csv", choices=CHOICES["format"])
     if checkpoint:
         p.add_argument("--checkpoint", default="")
 
@@ -125,12 +134,6 @@ def _resolve(args):
     return config, data, model, params
 
 
-def _emit(args, path, header, rows):
-    write_csv(path, header, rows)
-    if args.format == "jsonl":
-        write_jsonl(os.path.splitext(path)[0] + ".jsonl", header, rows)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -141,9 +144,6 @@ def cmd_train(args) -> int:
     for row in result.metrics[-3:]:
         print(f"iter {row.iteration}: objective {row.objective:.4f} "
               f"test log evidence {row.test_log_evidence:.4f} kl gap {row.kl_gap:.4f}")
-    if config.out and args.format == "jsonl":
-        write_jsonl(os.path.join(config.out, "metrics.jsonl"), METRICS_COLUMNS,
-                    [row.astuple() for row in result.metrics])
     if result.aborted:
         print("run aborted: " + "; ".join(result.events))
         return 1
@@ -152,15 +152,9 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _run_config(args)
-    beta1_list = [float(v) for v in args.beta1_list.split(",")] if args.beta1_list else None
-    k_list = [int(v) for v in args.K_list.split(",")] if args.K_list else None
-    s_list = [int(v) for v in args.S_list.split(",")] if args.S_list else None
-    rows, _ = sweep(config, beta1_list, k_list, s_list, _dataset(args, config))
+    rows, _ = sweep(config, args.beta1_list, args.K_list, args.S_list, _dataset(args, config))
     for row in rows:
         print("cell %03d beta1=%s K=%s S=%s -> %s logZ=%s" % (row[0], row[1], row[2], row[3], row[5], row[7]))
-    if config.out and args.format == "jsonl":
-        from .trainer import SWEEP_COLUMNS
-        write_jsonl(os.path.join(config.out, "sweep.jsonl"), SWEEP_COLUMNS, rows)
     failed = sum(row[5].startswith("error") for row in rows)
     if failed:
         print(f"{failed} of {len(rows)} sweep cells failed", file=sys.stderr)
@@ -181,9 +175,9 @@ def cmd_eval(args) -> int:
     rows = [(name, float(np.mean(v))) for name, v in per_item.items()]
     for name, value in rows:
         print(f"{name} {value!r}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _emit(args, os.path.join(args.out, "eval.csv"), ["metric", "value"], rows)
+    if config.out:
+        write_csv(os.path.join(config.out, "eval.csv"), ["metric", "value"], rows,
+                  config.format == "jsonl")
     return 0
 
 
@@ -261,35 +255,27 @@ def cmd_diagnose_grad_std(args) -> int:
         params = train(replace(config, iters=args.pretrain_iters, out=""), data).params
         iteration = args.pretrain_iters
     estimators_list = args.estimator.split(",")
-    s_list = [int(v) for v in args.S_list.split(",")] if args.S_list else [config.S]
     rows = []
     for estimator in estimators_list:
-        for S in s_list:
+        for S in args.S_list or [config.S]:
             std = _std_for(args, config, estimator, S, data, model, params)
             rows.append((estimator, S, config.K, config.beta1, iteration, std))
             print(f"{estimator} S={S}: avg gradient std {std!r}")
-    out_path = args.out or "grad_std.csv"
-    if os.path.dirname(out_path):
-        os.makedirs(os.path.dirname(out_path), exist_ok=True)
-    _emit(args, out_path, ["estimator", "S", "K", "beta1", "iteration", "avg_std"], rows)
+    header = ["estimator", "S", "K", "beta1", "iteration", "avg_std"]
+    write_csv(config.out or "grad_std.csv", header, rows, config.format == "jsonl")
     return 0
 
 
 def cmd_export_curve(args) -> int:
+    if args.grid < 1:
+        raise ConfigError(f"grid must be at least 1, got {args.grid}")
     config, data, model, params = _resolve(args)
-    if args.betas:
-        grid = np.array([float(v) for v in args.betas.split(",")])
-    else:
-        grid = np.linspace(0.0, 1.0, args.grid)
+    grid = np.array(args.betas) if args.betas else np.linspace(0.0, 1.0, args.grid)
     items = data.test[:config.eval_items]
     seed = int(rng_stream(config.seed, 5).integers(2 ** 31))
     curve = integrand_curve(model, params, items, grid, config.eval_samples, seed)
-    out_path = args.out or "curve.csv"
-    if os.path.dirname(out_path):
-        os.makedirs(os.path.dirname(out_path), exist_ok=True)
-    curve.to_csv(out_path)
-    if args.format == "jsonl":
-        curve.to_jsonl(os.path.splitext(out_path)[0] + ".jsonl")
+    out_path = config.out or "curve.csv"
+    write_csv(out_path, IntegrandCurve.COLUMNS, curve.rows(), config.format == "jsonl")
     message = f"curve with {grid.size} points written to {out_path}"
     if grid.size >= 3:
         message += f"; knee near beta={curve.beta_star()!r}"
@@ -311,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     command("train", cmd_train, "one training run")
 
     p = command("sweep", cmd_sweep, "grid of training runs over beta1/K/S")
-    p.add_argument("--beta1-list", default="")
-    p.add_argument("--K-list", default="")
-    p.add_argument("--S-list", default="")
+    p.add_argument("--beta1-list", type=_list_of(float), default=[])
+    p.add_argument("--K-list", type=_list_of(int), default=[])
+    p.add_argument("--S-list", type=_list_of(int), default=[])
 
     command("eval", cmd_eval, "bound estimates for a model or checkpoint", checkpoint=True)
 
@@ -333,12 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", default="cov",
                    help="comma list from cov,reinforce,reinforce-baseline,reparam")
     p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--S-list", default="")
+    p.add_argument("--S-list", type=_list_of(int), default=[])
     p.add_argument("--pretrain-iters", type=int, default=0)
 
     p = command("export-curve", cmd_export_curve, "integrand curve as plot-ready CSV",
                 checkpoint=True)
-    p.add_argument("--betas", default="")
+    p.add_argument("--betas", type=_list_of(float), default=[])
     p.add_argument("--grid", type=int, default=21)
 
     return parser

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError
-from .util import write_csv, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -84,15 +83,11 @@ class IntegrandCurve:
         second = np.diff(self.values, 2)
         return float(self.betas[1:-1][int(np.argmax(second))])
 
+    COLUMNS = ("beta", "g_estimate", "std_error")  # the header of rows()
+
     def rows(self):
         se = self.std_errors if self.std_errors is not None else [None] * self.betas.size
         return [(b, v, s) for b, v, s in zip(self.betas, self.values, se)]
-
-    def to_csv(self, path):
-        write_csv(path, ["beta", "g_estimate", "std_error"], self.rows())
-
-    def to_jsonl(self, path):
-        write_jsonl(path, ["beta", "g_estimate", "std_error"], self.rows())
 
 
 def integrand_curve(model, params, x, betas, S, seed) -> IntegrandCurve:

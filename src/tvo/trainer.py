@@ -212,6 +212,7 @@ def synthetic_dataset(kind, seed, d_x, n_train=1000, n_val=200, n_test=200,
 # run configuration
 
 DESK_CAPS = {"iters": 50_000, "d_z": 64, "S": 1000, "eval_samples": 5000, "batch": 256}
+FORMATS = ("csv", "jsonl")
 
 
 @dataclass(frozen=True)
@@ -241,6 +242,7 @@ class RunConfig:
     test_labels: str = ""
     limit: int = 0
     out: str = ""
+    format: str = "csv"             # every CSV of the run; jsonl also mirrors each
     crn: bool = True
     single_thread: bool = False
     d_x: int = 8
@@ -262,6 +264,8 @@ class RunConfig:
         for name in ("eval_interval", "grad_std_every", "limit"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must not be negative, got {getattr(self, name)}")
+        if self.format not in FORMATS:
+            raise ConfigError(f"format must be one of {', '.join(FORMATS)}, got {self.format!r}")
         if not self.allow_full_scale:
             for name, cap in DESK_CAPS.items():
                 if getattr(self, name) > cap:
@@ -425,11 +429,12 @@ def train(config: RunConfig, data: Dataset = None) -> TrainResult:
         with open(os.path.join(config.out, "config.cfg"), "w") as fh:
             # no out=: a rerun from the file writes where its --out says
             fh.writelines(f"{f}={getattr(config, f)}\n" for f in config.__dataclass_fields__ if f != "out")
+        jsonl = config.format == "jsonl"
         write_csv(os.path.join(config.out, "metrics.csv"), METRICS_COLUMNS,
-                  [row.astuple() for row in metrics])
+                  [row.astuple() for row in metrics], jsonl)
         if sleep_metrics:
             write_csv(os.path.join(config.out, "metrics_sleep.csv"), METRICS_COLUMNS,
-                      [row.astuple() for row in sleep_metrics])
+                      [row.astuple() for row in sleep_metrics], jsonl)
         result.checkpoint_path = os.path.join(config.out, "checkpoint.tvom")
         save_checkpoint(result.checkpoint_path, params)
         if events:
@@ -462,7 +467,8 @@ def sweep(config: RunConfig, beta1_list=None, K_list=None, S_list=None, data: Da
     A cell that fails with a package error or an I/O error is recorded with
     the status "error: <type>: <message>" and the sweep continues; any other
     exception is a bug and propagates. Returns the rows
-    of the aggregated table (also written to <out>/sweep.csv when out is set).
+    of the aggregated table (also written to <out>/sweep.csv when out is set,
+    mirrored like each cell's files when config.format is jsonl).
     """
     beta1_axis = list(beta1_list) if beta1_list else [config.beta1]
     k_axis = list(K_list) if K_list else [config.K]
@@ -483,6 +489,6 @@ def sweep(config: RunConfig, beta1_list=None, K_list=None, S_list=None, data: Da
                          f"error: {type(exc).__name__}: {exc}", None, None))
             results.append(None)
     if config.out:
-        os.makedirs(config.out, exist_ok=True)
-        write_csv(os.path.join(config.out, "sweep.csv"), SWEEP_COLUMNS, rows)
+        write_csv(os.path.join(config.out, "sweep.csv"), SWEEP_COLUMNS, rows,
+                  config.format == "jsonl")
     return rows, results

@@ -1,7 +1,8 @@
-"""Small numpy helpers and deterministic RNG stream derivation."""
+"""Small numpy helpers, deterministic RNG stream derivation and the run-table writer."""
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -63,16 +64,17 @@ def format_cell(x) -> str:
     return str(x)
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, rows, jsonl=False):
+    """`header` and `rows` as CSV at `path`, its directory made if missing;
+    `jsonl` also writes the JSON-lines mirror beside it (.csv -> .jsonl), one
+    record per row."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_cell(c) for c in row) + "\n")
-
-
-def write_jsonl(path, header, rows):
-    with open(path, "w") as fh:
-        for row in rows:
-            rec = {k: (None if v is None else (float(v) if isinstance(v, (float, np.floating)) else v))
-                   for k, v in zip(header, row)}
-            fh.write(json.dumps(rec) + "\n")
+    if jsonl:
+        with open(os.path.splitext(path)[0] + ".jsonl", "w") as fh:
+            for row in rows:
+                fh.write(json.dumps({k: float(v) if isinstance(v, (float, np.floating)) else v
+                                     for k, v in zip(header, row)}) + "\n")

@@ -318,3 +318,57 @@ def test_config_file_values_are_checked_like_flags(tmp_path, capsys):
         args = _apply_config_file(build_parser().parse_args(["train", "--config", str(cfg)]))
         assert args.crn is want
     assert run(["train", "--crn", "banana"]) == 2
+
+
+def _runs_of_every_table(out, *extra):
+    """Wake-sleep train, a 2-cell sweep, eval, export-curve and
+    diagnose-grad-std into `out`, then a rerun from the train's config.cfg."""
+    small = [*TOY, "--S", "4", "--K", "2", "--iters", "4", "--batch", "4",
+             "--eval-interval", "2", "--train-items", "16", "--test-items", "8",
+             "--eval-samples", "8", "--single-thread", *extra]
+    assert run(["train", *small, "--objective", "wake_sleep", "--out", str(out / "ws")]) == 0
+    assert run(["sweep", *small, "--beta1-list", "0.2,0.4", "--out", str(out / "sw")]) == 0
+    assert run(["eval", *small, "--out", str(out / "ev")]) == 0
+    assert run(["export-curve", *small, "--grid", "3", "--out", str(out / "curve" / "c.csv")]) == 0
+    assert run(["diagnose-grad-std", *small, "--reps", "2", "--out", str(out / "g" / "g.csv")]) == 0
+    assert run(["train", "--config", str(out / "ws" / "config.cfg"),
+                "--out", str(out / "rerun")]) == 0
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*")
+            if p.suffix in (".csv", ".jsonl")}
+
+
+def test_jsonl_mirrors_every_csv_and_csv_alone_writes_none(tmp_path, capsys):
+    import csv
+
+    from tvo.util import format_cell
+
+    mirrored = _runs_of_every_table(tmp_path / "jsonl", "--format", "jsonl")
+    plain = _runs_of_every_table(tmp_path / "csv")
+    tables = {"ws/metrics.csv", "ws/metrics_sleep.csv", "sw/sweep.csv",
+              "sw/cell000/metrics.csv", "sw/cell001/metrics.csv", "ev/eval.csv",
+              "curve/c.csv", "g/g.csv", "rerun/metrics.csv", "rerun/metrics_sleep.csv"}
+    assert set(plain) == tables
+    assert set(mirrored) == tables | {name[:-3] + "jsonl" for name in tables}
+    for name in tables:
+        assert mirrored[name] == plain[name]  # the format never changes a CSV
+        header, *rows = csv.reader(mirrored[name].decode().splitlines())
+        records = [json.loads(line) for line in mirrored[name[:-3] + "jsonl"].splitlines()]
+        assert [list(r) for r in records] == [header] * len(rows)
+        assert [[format_cell(v) for v in r.values()] for r in records] == rows
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("sweep", "--beta1-list", "0.2,x"),
+    ("sweep", "--K-list", "2,x"),
+    ("sweep", "--S-list", "5,x"),
+    ("diagnose-grad-std", "--S-list", "5,,6"),
+    ("export-curve", "--betas", "0.5,x"),
+    ("export-curve", "--grid", "0"),
+], ids=lambda v: v.strip("-"))
+def test_malformed_lists_and_an_empty_grid_are_config_errors(tmp_path, capsys, command, flag, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]}={value}\n")
+    for given in ([flag, value], ["--config", str(cfg)]):
+        assert run([command, *TOY, *given, "--out", str(tmp_path / "never.csv")]) == 2
+        assert flag[2:] in capsys.readouterr().err
+    assert not (tmp_path / "never.csv").exists()

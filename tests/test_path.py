@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvo import oracles, path
+from tvo import oracles, path, util
 from tvo.errors import DomainError
 from tvo.models import random_conjugate_gaussian, random_toy
 
@@ -110,11 +110,10 @@ def test_curve_csv_round_trip(tmp_path):
     curve = path.IntegrandCurve(np.array([0.0, 1.0]), np.array([-2.0, -1.0]),
                                 np.array([0.01, 0.02]))
     out = tmp_path / "curve.csv"
-    curve.to_csv(out)
+    util.write_csv(out, path.IntegrandCurve.COLUMNS, curve.rows(), jsonl=True)
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "beta,g_estimate,std_error"
     assert lines[1] == "0.0,-2.0,0.01"
-    curve.to_jsonl(tmp_path / "curve.jsonl")
     import json
 
     rec = json.loads((tmp_path / "curve.jsonl").read_text().splitlines()[0])

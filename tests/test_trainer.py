@@ -202,6 +202,12 @@ def test_desk_caps_enforced_without_override():
     tr.RunConfig(S=5000, allow_full_scale=True).validate()
 
 
+def test_unknown_output_format_is_rejected():
+    with pytest.raises(ConfigError, match="format must be one of csv, jsonl"):
+        tr.RunConfig(format="xml").validate()
+    tr.RunConfig(format="jsonl").validate()
+
+
 # train loop ---------------------------------------------------------------------
 
 

@@ -89,6 +89,7 @@ def test_csv_and_jsonl_round_trip(tmp_path):
     rows = [("a", 0.1, None), ("b", -2.5, "x")]
     util.write_csv(tmp_path / "t.csv", header, rows)
     assert (tmp_path / "t.csv").read_text() == "name,value,note\na,0.1,\nb,-2.5,x\n"
-    util.write_jsonl(tmp_path / "t.jsonl", header, rows)
+    assert not (tmp_path / "t.jsonl").exists()
+    util.write_csv(tmp_path / "t.csv", header, rows, jsonl=True)
     records = [json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()]
     assert records[0] == {"name": "a", "value": 0.1, "note": None}
