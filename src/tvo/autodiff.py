@@ -324,51 +324,68 @@ def bernoulli_logpmf(y, logits):
     on their own, smaller shape. The vjp is g * (y - sigmoid(t)), reduced
     back to the logits' shape.
 
-    A tape-free call of more than TILE elements runs in tiles of whole rows
-    (one row per leading index), at most TILE elements each unless one row
-    is longer, into one preallocated output; a taped call, or one of at
-    most TILE elements, is one tile. Each element sees the same operations
-    and each row is summed on its own, so tiling changes no bit of the value.
+    A call of more than TILE elements runs in tiles of whole rows (one row
+    per leading index), at most TILE elements each unless one row is
+    longer, into one preallocated output; broadcast logits on a tape are
+    the exception and stay one call. When the logits are a Var of the full
+    broadcast shape, each tile also writes y - sigmoid(t) into one
+    full-size array from the same exp(-|t|) as its tail, and the vjp
+    multiplies that array by g in place and returns it; broadcast logits
+    recompute the sigmoid in their vjp. Each element sees the same
+    operations and each row is summed on its own, so tiling changes no bit
+    of the value or the gradient.
     """
     if isinstance(y, Var):
         raise UsageError("bernoulli_logpmf: y must be constant observations, not a Var")
     yv, tv = _as_array(y), value_of(logits)
     sign = 1.0 - 2.0 * yv  # turns t into the log-odds against the observed value
     shape = np.broadcast(sign, tv).shape
-    if isinstance(logits, Var) or math.prod(shape) <= TILE:
-        out = _bernoulli_rows(sign, tv)
+    if isinstance(logits, Var) and tv.shape != shape:
+        return _node("bernoulli_logpmf", _bernoulli_rows(sign, tv), (logits, lambda g: _unbroadcast(
+            np.asarray(g)[..., None] * (yv - util.sigmoid(tv)), tv.shape)))
+    dt = np.empty(shape) if isinstance(logits, Var) else None
+    if math.prod(shape) <= TILE:
+        out = _bernoulli_rows(sign, tv, yv, dt)
     else:
         out = np.empty(shape[:-1])
-        _bernoulli_tiles(np.broadcast_to(sign, shape), np.broadcast_to(tv, shape), out)
-    return _node("bernoulli_logpmf", out, (logits, lambda g: _unbroadcast(
-        np.asarray(g)[..., None] * (yv - util.sigmoid(tv)), tv.shape)))
+        _bernoulli_tiles(out, np.broadcast_to(sign, shape), np.broadcast_to(tv, shape),
+                         np.broadcast_to(yv, shape), dt)
+    return _node("bernoulli_logpmf", out,
+                 (logits, lambda g: np.multiply(np.asarray(g)[..., None], dt, out=dt)))
 
 
-def _bernoulli_rows(sign, t, out=None):
+def _bernoulli_rows(sign, t, y=None, dt=None, out=None):
     """-sum(max(s, 0) + log1p(exp(-|s|)), axis=-1) with s = sign * t, into
-    `out` when given; sign is +-1, so broadcast logits give the tail."""
+    `out` when given; sign is +-1, so broadcast logits give the tail. Given
+    `dt` (t of the full shape), also writes y - sigmoid(t) into it from the
+    same exp(-|s|) = exp(-|t|)."""
     s = sign * t
-    tail = np.abs(t if t.size < s.size else s)
-    np.negative(tail, out=tail)
-    np.exp(tail, out=tail)
-    np.log1p(tail, out=tail)
+    e = np.abs(t if t.size < s.size else s)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    tail = np.log1p(e, out=e if dt is None else dt)
     np.maximum(s, 0.0, out=s)
     s += tail
-    return np.negative(np.sum(s, axis=-1, out=out), out=out)
+    out = np.negative(np.sum(s, axis=-1, out=out), out=out)
+    if dt is not None:
+        np.subtract(y, util.sigmoid_of_tail(e, t, s), out=dt)
+    return out
 
 
-def _bernoulli_tiles(sign, t, out):
+def _bernoulli_tiles(out, sign, t, y, dt):
     """_bernoulli_rows over the first axis in slices of at most TILE elements;
-    an index of the first axis that alone holds more is split along the next."""
+    an index of the first axis that alone holds more is split along the next.
+    dt is None, or sliced like t."""
     step = TILE // sign[0].size if out.ndim else 0
     if step:
         for lo in range(0, out.shape[0], step):
-            _bernoulli_rows(sign[lo:lo + step], t[lo:lo + step], out[lo:lo + step])
+            sl = slice(lo, lo + step)
+            _bernoulli_rows(sign[sl], t[sl], y[sl], None if dt is None else dt[sl], out[sl])
     elif out.ndim > 0:
         for i in range(out.shape[0]):
-            _bernoulli_tiles(sign[i], t[i], out[i, ...])
+            _bernoulli_tiles(out[i, ...], sign[i], t[i], y[i], None if dt is None else dt[i])
     else:
-        _bernoulli_rows(sign, t, out)
+        _bernoulli_rows(sign, t, y, dt, out)
 
 
 def logsumexp(a, axis=None, keepdims=False):

@@ -59,10 +59,13 @@ def _list_of(kind):
     return parse
 
 
-def _add_run_flags(p: argparse.ArgumentParser, checkpoint=False):
-    """One flag per RunConfig field, named, typed and defaulted by the field;
-    a setting that is off by default is a bare switch."""
+def _add_run_flags(p: argparse.ArgumentParser, checkpoint=False, names=None):
+    """One flag per RunConfig field (those in `names` when given), named,
+    typed and defaulted by the field; a setting that is off by default is a
+    bare switch."""
     for f in fields(RunConfig):
+        if names is not None and f.name not in names:
+            continue
         flag = "--" + f.name.replace("_", "-")
         if f.default is False:
             p.add_argument(flag, action="store_true")
@@ -290,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, help, run_flags=True, checkpoint=False):
         p = sub.add_parser(name, help=help)
         if run_flags:
-            _add_run_flags(p, checkpoint)
+            _add_run_flags(p, checkpoint, None if run_flags is True else run_flags)
         p.set_defaults(func=func, parser=p)  # the config-file reader reads p's flags
         return p
 
@@ -304,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("eval", cmd_eval, "bound estimates for a model or checkpoint", checkpoint=True)
 
     p = command("check-identity", cmd_check_identity,
-                "quadrature of the exact integrand vs exact evidence")
+                "quadrature of the exact integrand vs exact evidence",
+                run_flags=("model", "seed", "m_latent", "d_x"))
     p.add_argument("--grid", type=int, default=10_000)
     p.add_argument("--report-only", action="store_true")
     p.add_argument("--match-posterior", action="store_true")

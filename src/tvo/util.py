@@ -39,9 +39,15 @@ def sigmoid(v):
     v = np.asarray(v, dtype=np.float64)
     e = np.abs(v, out=np.empty_like(v))
     np.exp(np.negative(e, out=e), out=e)
-    den = np.add(e, 1.0, out=np.empty_like(e))
+    return sigmoid_of_tail(e, v, np.empty_like(e))[()]
+
+
+def sigmoid_of_tail(e, v, den):
+    """sigmoid(v) = max(e, v >= 0) / (1 + e) from e = exp(-|v|), written
+    over e; `den` is the scratch array that takes 1 + e."""
+    np.add(e, 1.0, out=den)
     np.maximum(e, v >= 0, out=e)
-    return np.divide(e, den, out=e)[()]
+    return np.divide(e, den, out=e)
 
 
 def log_sigmoid(v):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvo import autodiff as ad
+from tvo import util
 from tvo.errors import DomainError, NumericalError, ShapeError, UsageError
 
 
@@ -286,6 +287,83 @@ def test_tiled_bernoulli_logpmf_memory_is_bounded_by_the_tile():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * ad.TILE * 8
+
+
+def _full_logit_cases():
+    tile = ad.TILE
+    return [
+        ("small", (3, 4, 6), (3, 4, 6)),
+        ("one_tile_exactly", (2, 1, 4096), (2, 8, 4096)),  # TILE elements, one call
+        ("vae_step", (24, 1, 784), (24, 10, 784)),        # y broadcast over samples
+        ("ragged_items", (11, 1, 784), (11, 10, 784)),    # 8 items per tile, then 3
+        ("ragged_samples", (3, 1, 100), (3, 1000, 100)),  # 655 rows per tile, then 345
+        ("long_rows", (3, tile + 5), (3, tile + 5)),      # a row longer than a tile
+        ("one_long_row", (tile + 5,), (tile + 5,)),
+    ]
+
+
+@pytest.mark.parametrize("y_shape,t_shape", [c[1:] for c in _full_logit_cases()],
+                         ids=[c[0] for c in _full_logit_cases()])
+def test_taped_full_logits_are_bit_equal_to_the_untiled_value_and_gradient(y_shape, t_shape):
+    # the reference is the one-pass value and the vjp every taped call used
+    # to take: g * (y - sigmoid(t)), with sigmoid recomputed over all of t
+    rng = np.random.default_rng(35)
+    y = (rng.random(y_shape) < 0.5).astype(np.float64)
+    t = rng.normal(size=t_shape) * 4.0
+    flat = t.reshape(-1)
+    flat[rng.choice(flat.size, 6, replace=False)] = [np.inf, -np.inf, np.nan, np.inf, -np.inf, -np.nan]
+    g = rng.normal(size=t_shape[:-1])
+    tape = ad.Tape()
+    leaf = tape.leaf(t)
+    node = ad.bernoulli_logpmf(y, leaf)
+    with np.errstate(invalid="ignore"):
+        ad.backward(ad.tsum(ad.mul(node, g)))
+        want_value = _untiled_bernoulli_logpmf(y, t)
+        want_grad = ad._unbroadcast(np.asarray(g)[..., None] * (y - util.sigmoid(t)), t.shape)
+    assert node.value.tobytes() == np.asarray(want_value).tobytes()
+    assert leaf.grad.shape == t.shape
+    assert leaf.grad.tobytes() == want_grad.tobytes()
+
+
+def test_taped_tiled_gradient_matches_directional_finite_differences():
+    # a per-coordinate check of 86k logits takes too long; random directions
+    # test the tiled gradient as a whole
+    rng = np.random.default_rng(36)
+    y = (rng.random((11, 1, 784)) < 0.5).astype(np.float64)
+    t = rng.normal(size=(11, 10, 784)) * 3.0
+    w = rng.normal(size=(11, 10))
+    assert t.size > ad.TILE
+    params = ad.ParamVector.build({"t": t})
+
+    def fn(view):
+        return ad.tsum(ad.mul(ad.bernoulli_logpmf(y, view["t"]), w))
+
+    _, grad = ad.value_and_grad(fn, params)
+    h = 1e-5
+    for _ in range(3):
+        v = rng.normal(size=t.size)
+        hi = ad.value_and_grad(fn, params.with_vector(params.vector + h * v))[0]
+        lo = ad.value_and_grad(fn, params.with_vector(params.vector - h * v))[0]
+        fd = (hi - lo) / (2.0 * h)
+        assert abs(grad @ v - fd) / max(1.0, abs(fd)) <= 1e-5
+
+
+def test_taped_tiled_bernoulli_memory_is_one_full_array_and_the_tiles():
+    # the forward keeps y - sigmoid(t) as the one full-size array, which the
+    # vjp scales in place into the logits' gradient
+    rng = np.random.default_rng(37)
+    y = (rng.random((5, 1, 784)) < 0.5).astype(np.float64)
+    t = rng.normal(size=(5, 200, 784))
+    tape = ad.Tape()
+    leaf = tape.leaf(t)
+    tracemalloc.start()
+    try:
+        ad.backward(ad.tsum(ad.bernoulli_logpmf(y, leaf)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert leaf.grad.shape == t.shape
+    assert peak <= t.nbytes + 3 * ad.TILE * 8
 
 
 @pytest.mark.parametrize("taped", [False, True], ids=["tape-free", "taped"])

@@ -219,9 +219,30 @@ def test_no_flags_parse_to_the_default_run_config():
     from tvo.cli import _run_config, build_parser
     from tvo.trainer import RunConfig
 
-    for command in ("train", "sweep", "eval", "check-identity", "diagnose-grad-std",
-                    "export-curve"):
+    for command in ("train", "sweep", "eval", "diagnose-grad-std", "export-curve"):
         assert _run_config(build_parser().parse_args([command])) == RunConfig()
+
+
+def test_check_identity_takes_only_the_flags_it_reads(tmp_path, capsys):
+    from tvo.cli import build_parser
+    from tvo.trainer import RunConfig
+
+    args = build_parser().parse_args(["check-identity"])
+    read = {"model", "seed", "m_latent", "d_x", "grid", "report_only", "match_posterior"}
+    assert set(vars(args)) == read | {"command", "config", "func", "parser"}
+    for name in ("model", "seed", "m_latent", "d_x"):
+        assert getattr(args, name) == getattr(RunConfig(), name)
+    base = ["check-identity", "--model", "toy", "--seed", "3", "--grid", "200", "--report-only"]
+    for extra in (["--format", "jsonl"], ["--out", str(tmp_path)], ["--iters", "5"], ["--S", "4"],
+                  ["--single-thread"], ["--checkpoint", str(tmp_path / "x.tvom")]):
+        assert run(base + extra) == 2
+    cfg = tmp_path / "identity.cfg"
+    cfg.write_text("model=gaussian\nseed=4\ngrid=500\n")
+    assert run(["check-identity", "--config", str(cfg)]) == 0
+    assert "model=gaussian grid=500" in capsys.readouterr().out
+    cfg.write_text("S=4\n")
+    assert run(["check-identity", "--config", str(cfg)]) == 2
+    assert "unknown key 'S'" in capsys.readouterr().err
 
 
 def test_desk_caps_apply_to_every_run_subcommand(tmp_path):
