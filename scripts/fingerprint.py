@@ -138,7 +138,7 @@ def estimator_outputs():
                                    ("reinforce", estimators.reinforce_gradient, 0),
                                    ("baselined", estimators.reinforce_baseline_gradient, 1)):
             out.append((f"{case}.{label}", gradient(model, params, None, table, k).vector))
-        if model.latent == "continuous":
+        if hasattr(model, "reparam_sample"):
             for objective in ("elbo", "iwae"):
                 est = estimators.reparam_gradient(model, params, x, objective, 8, 13)
                 out += [(f"{case}.reparam.{objective}.grad", est.vector),

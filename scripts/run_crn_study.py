@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from tvo import estimators as est
-from tvo.objectives import ObjectiveSpec, training_gradient
+from tvo.objectives import ObjectiveSpec, training_step
 from tvo.path import make_schedule
 from tvo.trainer import RunConfig, synthetic_dataset, train
 from tvo.util import write_csv
@@ -39,7 +39,7 @@ def main():
     for trial in range(args.trials):
         def diagnostic(crn):
             def estimator(rep_seed):
-                return training_gradient(spec, model, params, x_batch, rep_seed, crn=crn)
+                return training_step(spec, model, params, x_batch, rep_seed, crn=crn)[1]
 
             return est.gradient_std_diagnostic(estimator, repetitions=10, seed=trial)
 

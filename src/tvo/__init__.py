@@ -10,14 +10,12 @@ from .autodiff import (ParamVector, Tape, backward, finite_difference_gradient,
 from .estimators import (GradientEstimate, WeightTable, build_weight_table,
                          covariance_gradient, exact_weight_table, expectation,
                          gradient_std_diagnostic, reinforce_baseline_gradient,
-                         reinforce_gradient, reparam_gradient, score_blocks,
-                         tempered_table)
+                         reinforce_gradient, reparam_gradient, score_blocks)
 from .models import (ConjugateGaussian, GaussianVAE, LatentModel,
                      SigmoidBeliefNet, ToyBernoulli, load_checkpoint,
                      restore_params, save_checkpoint)
 from .objectives import (ObjectiveSpec, elbo_estimate, eubo_estimate,
-                         iwae_estimate, training_gradient, training_step,
-                         tvo_lower, tvo_upper)
+                         iwae_estimate, training_step, tvo_lower, tvo_upper)
 from .oracles import (enumerate_states, gaussian_grid_reference, ti_identity_check,
                       variance_identity_check)
 from .path import IntegrandCurve, PartitionSchedule, integrand_curve, make_schedule

@@ -21,7 +21,7 @@ from .estimators import (build_weight_table, gradient_std_diagnostic, reduce_blo
                          reparam_gradient)
 from .models import (load_checkpoint, random_conjugate_gaussian, random_toy,
                      restore_params)
-from .objectives import ObjectiveSpec, training_gradient, warn_degenerate
+from .objectives import ObjectiveSpec, training_step, warn_degenerate
 from .oracles import enumerate_states, ti_identity_check
 from .path import IntegrandCurve, integrand_curve, make_schedule
 from .trainer import FORMATS, RunConfig, build_dataset, build_model, sweep, train
@@ -186,7 +186,7 @@ def cmd_eval(args) -> int:
 
 def cmd_check_identity(args) -> int:
     if args.model == "toy":
-        model, params = random_toy(args.seed, m=args.m_latent, d_x=min(args.d_x, 3))
+        model, params = random_toy(args.seed, m=args.m_latent, d_x=args.d_x)
         if args.match_posterior:
             params = model.posterior_proposal(params)
         x, _ = model.sample_joint(params, 1, rng_stream(args.seed, 31))
@@ -233,7 +233,7 @@ def _std_for(args, config, estimator, S, data, model, params):
 
     if estimator == "cov":
         def estimator_fn(rep_seed):
-            return training_gradient(spec, model, params, x_batch, rep_seed, crn=config.crn)
+            return training_step(spec, model, params, x_batch, rep_seed, crn=config.crn)[1]
     elif estimator in ("reinforce", "reinforce-baseline"):
         grad_fn = reinforce_gradient if estimator == "reinforce" else reinforce_baseline_gradient
 

@@ -157,14 +157,7 @@ class WeightTable:
         return float(per_item[0]) if self.single else per_item
 
 
-def tempered_table(log_w, schedule, zs=None, x=None, seed=0, single=False) -> WeightTable:
-    """The table of given (B, S) log weights, tempered at every knot."""
-    betas = _as_beta_grid(schedule)
-    return WeightTable(betas=betas, log_w=log_w, norm_w=tempered_columns(log_w, betas),
-                       zs=zs, x=x, seed=int(seed), single=single)
-
-
-def score_blocks(model, view, x, S, seed):
+def score_blocks(model, view, x, S, seed, pathwise=False):
     """The one loop that turns proposal noise into scores: yields
     (items, z, U', log p, log q) for consecutive item blocks of x.
 
@@ -174,9 +167,10 @@ def score_blocks(model, view, x, S, seed):
     max(1, min(BLOCK, TILE // w) // S) items (w as at BLOCK). Each block's
     noise (model.noise_blocks) is a fresh array drawn just before the block
     is scored, so a consumer that drops z holds one block's latents, whatever
-    items x S. A block holding a
-    row whose weights are all zero raises DegenerateWeightsError: the
-    proposal missed the joint's support entirely.
+    items x S. Noise becomes (z, log q) through model.sample_q, or, when
+    `pathwise`, through model.reparam_sample, whose z is taped as well. A
+    block holding a row whose weights are all zero raises
+    DegenerateWeightsError: the proposal missed the joint's support entirely.
     """
     if S < 1:
         raise DomainError(f"need at least one sample, got S={S}")
@@ -188,8 +182,9 @@ def score_blocks(model, view, x, S, seed):
     taped = any(isinstance(v, ad.Var) for v in view.values())
     step = x.shape[0] if taped else max(1, min(BLOCK, ad.TILE // getattr(model, "d_z", 1)) // S)
     rng = rng_stream(seed, _STREAM_SAMPLES)
+    sample = model.reparam_sample if pathwise else model.sample_q
     for items, noise in model.noise_blocks(rng, x.shape[0], S, step):
-        z, lq = model.sample_q(view, x[items], noise)
+        z, lq = sample(view, x[items], noise)
         lj = model.log_joint(view, x[items], z)
         u = ad.sub(lj, lq)
         if np.any(np.all(value_of(u) == -np.inf, axis=1)):
@@ -282,7 +277,9 @@ def _scored_table(model, params, view, x, S, schedule, seed):
         zs = np.concatenate([z for z, *_ in blocks])
         log_w = np.concatenate([u for _, u, *_ in blocks])
         u = lj = lq = None
-    table = tempered_table(log_w, schedule, zs, np.atleast_2d(x), seed, single=x.ndim == 1)
+    betas = _as_beta_grid(schedule)
+    table = WeightTable(betas, log_w, tempered_columns(log_w, betas), zs, np.atleast_2d(x),
+                        int(seed), single=x.ndim == 1)
     return table, u, lj, lq
 
 
@@ -473,28 +470,22 @@ def reparam_gradient(model, params, x, objective, S, seed) -> GradientEstimate:
     """Pathwise gradient through z = mean + std * eps for location-scale q.
 
     objective: "elbo" (mean of U' over samples) or "iwae" (log mean weight).
-    eps is model.draw_noise of all B items, the one block that score_blocks
-    draws for a taped table at the same seed, and reparam_sample returns
-    log q from the encoder pass that made z: z, and the taped U' values
-    returned in meta["log_w"], are bit-identical to build_weight_table's at
-    that seed, so a training step takes its value from this one pass.
+    score_blocks draws eps and scores it pathwise on a lifted view, as the
+    one block that a taped table at the same seed draws: z, and the taped U'
+    values returned in meta["log_w"], are bit-identical to
+    build_weight_table's at that seed, so a training step takes its value
+    from this one pass.
     """
-    if getattr(model, "latent", "discrete") != "continuous" or not hasattr(model, "reparam_sample"):
+    if not hasattr(model, "reparam_sample"):
         raise UnsupportedEstimatorError("reparameterization requires a location-scale continuous q")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    eps = model.draw_noise(rng_stream(seed, _STREAM_SAMPLES), x.shape[0], S)
-    tape = Tape()
-    view = params.lift(tape)
-    z, lq = model.reparam_sample(view, x, eps)
-    u = ad.sub(model.log_joint(view, x, z), lq)
+    if objective not in ("elbo", "iwae"):
+        raise DomainError(f"unknown reparameterization objective {objective!r}")
+    view = params.lift(Tape())
+    (_, _, u, _, _), = score_blocks(model, view, x, S, seed, pathwise=True)
     if objective == "elbo":
         per_item = ad.tmean(u, axis=1)
-    elif objective == "iwae":
-        per_item = ad.sub(ad.logsumexp(u, axis=1), np.log(S))
     else:
-        raise DomainError(f"unknown reparameterization objective {objective!r}")
+        per_item = ad.sub(ad.logsumexp(u, axis=1), np.log(S))
     return GradientEstimate(_finish(per_item, params, view), meta={"log_w": value_of(u)})
 
 

@@ -18,7 +18,8 @@ Conventions shared by every model:
     estimators; log q is then a Var. Models with float latents write z over
     the noise in place. log_q re-scores a given z;
   * reparam_sample(view, x, eps), for a location-scale q, returns the same
-    pair with z taped as a function of the view (the pathwise estimator);
+    pair with z taped as a function of the view. A model is pathwise (the
+    reparameterization estimator applies) exactly when it defines it;
   * generative parameters live under "theta/", inference parameters under
     "phi/".
 """
@@ -38,12 +39,11 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 class LatentModel:
     """Contract shared by all models; see the module docstring for shapes, for
-    the noise methods and for how sample_q turns noise into (z, log q).
-    estimators.score_blocks is the one loop that does so. Noise has two
+    the noise methods and for how sample_q, or reparam_sample on a pathwise
+    model, turns noise into (z, log q). estimators.score_blocks is the one
+    loop that does so. Noise has two
     hooks: a model whose noise is item-major implements draw_noise and
     inherits noise_blocks; any other layout overrides noise_blocks."""
-
-    latent = "discrete"
 
     def init_params(self, seed) -> ParamVector:
         raise NotImplementedError
@@ -124,8 +124,6 @@ class ToyBernoulli(LatentModel):
     per-observation proposal) are free softmax tables, so normalization is
     exact by construction and the proposal can represent any posterior.
     """
-
-    latent = "discrete"
 
     def __init__(self, m=2, d_x=1):
         if m < 1 or m > 12:
@@ -220,8 +218,6 @@ class ConjugateGaussian(LatentModel):
     The geometric path stays Gaussian for every beta, so the integrand, its
     variance, the evidence, and all objective gradients have closed forms.
     """
-
-    latent = "continuous"
 
     def init_params(self, seed) -> ParamVector:
         rng = rng_stream(seed, 17)
@@ -398,8 +394,6 @@ class SigmoidBeliefNet(LatentModel):
     inference network factorizes bottom-up with centered inputs.
     """
 
-    latent = "discrete"
-
     def __init__(self, d_x=784, d_z=20, layers=2, nonlinear=False, x_mean=None):
         if layers < 1:
             raise DomainError("need at least one latent layer")
@@ -539,8 +533,6 @@ class SigmoidBeliefNet(LatentModel):
 class GaussianVAE(LatentModel):
     """N(0, I) prior, 3-layer tanh decoder to Bernoulli logits, 2-layer tanh
     encoder trunk with separate linear heads for the mean and log std."""
-
-    latent = "continuous"
 
     def __init__(self, d_x=784, d_z=20):
         self.d_x = d_x

@@ -49,8 +49,8 @@ class ObjectiveSpec:
         if self.kind in ("tvo_lower", "tvo_upper"):
             if self.schedule is None or self.schedule.K < 1:
                 raise ConfigError(f"{self.kind} needs a schedule with K >= 1")
-        schedule = self.schedule if self.schedule is not None else make_schedule(1)
-        object.__setattr__(self, "schedule", schedule)
+        else:  # the ELBO and EUBO are the K = 1 Riemann sums; IWAE reads no knots
+            object.__setattr__(self, "schedule", make_schedule(1))
 
     @property
     def maximize(self) -> bool:
@@ -99,15 +99,11 @@ def tvo_upper(table: WeightTable, schedule: PartitionSchedule):
 
 
 def objective_estimate(spec: ObjectiveSpec, table: WeightTable):
-    if spec.kind == "elbo":
-        return elbo_estimate(table)
+    if spec.kind == "iwae":
+        return table.squeeze(iwae_estimate(table.log_w))
     if spec.kind == "eubo":
         return eubo_estimate(table)
-    if spec.kind == "tvo_lower":
-        return tvo_lower(table, spec.schedule)
-    if spec.kind == "tvo_upper":
-        return tvo_upper(table, spec.schedule)
-    return table.squeeze(iwae_estimate(table.log_w))
+    return (tvo_lower if spec.maximize else tvo_upper)(table, spec.schedule)
 
 
 def _optimize_prefixes(spec: ObjectiveSpec):
@@ -120,18 +116,10 @@ def _optimize_prefixes(spec: ObjectiveSpec):
 
 
 def _riemann_terms(spec: ObjectiveSpec):
-    """(beta knot index, width) pairs whose weighted expectations form the objective."""
-    betas = spec.schedule.betas
-    widths = spec.schedule.widths
-    if spec.kind == "elbo":
-        return [(0, 1.0)]
-    if spec.kind == "eubo":
-        return [(betas.size - 1, 1.0)]
-    if spec.kind == "tvo_lower":
-        return [(k, float(widths[k])) for k in range(betas.size - 1)]
-    if spec.kind == "tvo_upper":
-        return [(k + 1, float(widths[k])) for k in range(betas.size - 1)]
-    raise ConfigError(f"{spec.kind} has no Riemann-term decomposition")
+    """(beta knot index, width) pairs whose weighted expectations form the
+    objective: the left knots of a lower bound, the right knots of an upper."""
+    first = 0 if spec.maximize else 1
+    return [(k + first, float(width)) for k, width in enumerate(spec.schedule.widths)]
 
 
 def training_step(spec: ObjectiveSpec, model, params, x, seed, crn=True):
@@ -156,7 +144,7 @@ def training_step(spec: ObjectiveSpec, model, params, x, seed, crn=True):
     prefixes = _optimize_prefixes(spec)
 
     if spec.kind == "iwae":
-        if getattr(model, "latent", "") == "continuous" and hasattr(model, "reparam_sample"):
+        if hasattr(model, "reparam_sample"):
             # the pathwise pass scores build_weight_table's batch on its tape
             est = reparam_gradient(model, params, x, "iwae", spec.S, seed)
             value = float(np.mean(iwae_estimate(est.meta["log_w"])))
@@ -204,7 +192,3 @@ def _iwae_gradient(model, params, x, S, seed, prefixes):
     wbar = table.column(table.beta_index(1.0))
     return value, _finish(_score_surrogate([(wbar, u)]), params, view, mask_prefixes=prefixes)
 
-
-def training_gradient(spec: ObjectiveSpec, model, params, x, seed, crn=True) -> GradientEstimate:
-    """Gradient of the spec's objective at (params, x); see training_step."""
-    return training_step(spec, model, params, x, seed, crn=crn)[1]

@@ -20,7 +20,7 @@ from .errors import ConfigError, DomainError, FormatError, NumericalError, TvoEr
 from .estimators import gradient_std_diagnostic, reduce_blocks
 from .models import (ConjugateGaussian, GaussianVAE, SigmoidBeliefNet,
                      ToyBernoulli, save_checkpoint)
-from .objectives import ObjectiveSpec, training_gradient, training_step
+from .objectives import ObjectiveSpec, training_step
 from .path import make_schedule
 from .util import rng_stream, write_csv
 
@@ -448,7 +448,7 @@ def _maybe_grad_std(config, spec, model, params, x_batch, it):
         return None
 
     def estimator(rep_seed):
-        return training_gradient(spec, model, params, x_batch, rep_seed, crn=config.crn)
+        return training_step(spec, model, params, x_batch, rep_seed, crn=config.crn)[1]
 
     return gradient_std_diagnostic(estimator, repetitions=10,
                                    seed=int(rng_stream(config.seed, 9, it).integers(2 ** 31)))

@@ -19,7 +19,7 @@ from tvo.autodiff import finite_difference_gradient, random_check_network, value
 from tvo.cli import main as cli_main
 from tvo.estimators import build_weight_table, exact_weight_table
 from tvo.models import ConjugateGaussian, random_conjugate_gaussian, random_toy
-from tvo.objectives import ObjectiveSpec, training_gradient
+from tvo.objectives import ObjectiveSpec, training_step
 from tvo.path import make_schedule
 from tvo.trainer import RunConfig, synthetic_dataset, train
 
@@ -202,7 +202,7 @@ def test_c06_common_random_numbers_reduce_gradient_std():
 
     def diagnostic(crn, seed):
         def estimator(rep_seed):
-            return training_gradient(spec, model, params, x_batch, rep_seed, crn=crn)
+            return training_step(spec, model, params, x_batch, rep_seed, crn=crn)[1]
 
         return est.gradient_std_diagnostic(estimator, repetitions=10, seed=seed)
 

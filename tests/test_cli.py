@@ -30,6 +30,18 @@ def test_check_identity_coarse_grid_report_only(capsys):
     assert "residual=" in out
 
 
+def test_check_identity_toy_enumerates_the_requested_observables(capsys):
+    # --d-x reaches ToyBernoulli: each width draws its own tables, and a width
+    # outside 1..8 is a configuration error, not a silent clamp
+    residuals = []
+    for d_x in ("3", "5"):
+        assert run(["check-identity", "--model", "toy", "--seed", "4", "--d-x", d_x]) == 0
+        residuals.append(capsys.readouterr().out.split("residual=")[1].split()[0])
+    assert residuals[0] != residuals[1]
+    assert run(["check-identity", "--model", "toy", "--seed", "4", "--d-x", "9"]) == 2
+    assert "D_x must be in [1, 8]" in capsys.readouterr().err
+
+
 def test_check_gradients_all_networks_pass(capsys):
     assert run(["check-gradients", "--networks", "8", "--seed", "1"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -966,6 +967,43 @@ def test_reparam_scores_the_weight_table_batch(monkeypatch, model):
     np.testing.assert_array_equal(grad.meta["log_w"], table.log_w)
 
 
+@pytest.mark.filterwarnings("ignore::tvo.errors.DegenerateWeightsWarning")
+@pytest.mark.parametrize("case", ["toy", "gaussian", "vae"])
+def test_every_proposal_draw_goes_through_noise_blocks(monkeypatch, case):
+    from tvo.models import LatentModel
+    from tvo.objectives import OBJECTIVE_KINDS, ObjectiveSpec, training_step
+    from tvo.trainer import evaluate
+
+    if case == "toy":
+        model, params = random_toy(23, m=2, d_x=2)
+        x = np.array([[1.0, 0.0], [0.0, 0.0]])
+    elif case == "gaussian":
+        model, params, x0 = random_conjugate_gaussian(5)
+        x = np.array([[x0], [x0 + 0.5]])
+    else:
+        model = GaussianVAE(d_x=6, d_z=3)
+        params, x = model.init_params(9), np.ones((2, 6))
+    draw_noise, draws = model.draw_noise, []
+
+    def guarded(rng, n, S):
+        caller = sys._getframe(1).f_code
+        assert caller is LatentModel.noise_blocks.__code__, f"draw_noise called from {caller.co_name}"
+        draws.append(n)
+        return draw_noise(rng, n, S)
+
+    monkeypatch.setattr(model, "draw_noise", guarded)
+    if hasattr(model, "reparam_sample"):
+        for objective in ("elbo", "iwae"):
+            est.reparam_gradient(model, params, x, objective, 4, 31)
+    for kind in OBJECTIVE_KINDS:
+        spec = ObjectiveSpec(kind, make_schedule(2, 0.3, "log"), S=4)
+        for crn in ((True,) if kind == "iwae" else (True, False)):
+            training_step(spec, model, params, x, 7, crn=crn)
+    est.build_weight_table(model, params, x, 4, [0.0, 1.0], 8)
+    evaluate(model, params, x, 4, 9)
+    assert draws
+
+
 def test_reparam_rejected_for_discrete_latents():
     model, params, x = toy_setup()
     with pytest.raises(UnsupportedEstimatorError):
@@ -1008,7 +1046,7 @@ def test_grad_std_shrinks_like_root_s():
 def test_common_random_numbers_reduce_tvo_gradient_std():
     # the variance reduction needs real weight dispersion (wide-data models
     # keep it throughout training); a wide-logit table gives it at desk scale
-    from tvo.objectives import ObjectiveSpec, training_gradient
+    from tvo.objectives import ObjectiveSpec, training_step
     from tvo.path import make_schedule
 
     model, params = random_toy(13, m=4, d_x=6, scale=3.0)
@@ -1017,7 +1055,7 @@ def test_common_random_numbers_reduce_tvo_gradient_std():
 
     def diagnostic(crn, seed):
         def estimator(rep_seed):
-            return training_gradient(spec, model, params, x, rep_seed, crn=crn)
+            return training_step(spec, model, params, x, rep_seed, crn=crn)[1]
 
         return est.gradient_std_diagnostic(estimator, repetitions=10, seed=seed)
 

@@ -209,7 +209,7 @@ def test_vi_mode_reduces_to_masked_covariance_gradient():
     x = np.array([[1.0]])
     spec = obj.ObjectiveSpec("elbo", None, S=16, optimize="phi", data_source="real")
     seed = 77
-    grad = obj.training_gradient(spec, model, params, x, seed)
+    grad = obj.training_step(spec, model, params, x, seed)[1]
     table = build_weight_table(model, params, x, 16, spec.schedule.betas, seed)
     direct = covariance_gradient(model, params, None, table, 0).vector
     masked = np.where(params.mask("phi/"), direct, 0.0)
@@ -229,7 +229,7 @@ def test_sleep_phase_gradient_matches_analytic_cross_entropy():
     x_shape = np.zeros((1, 1))
 
     def draw(i):
-        return obj.training_gradient(spec, model, params, x_shape, seed=1000 + i).vector
+        return obj.training_step(spec, model, params, x_shape, seed=1000 + i)[1].vector
 
     mean, se = mc_mean_se(draw, 200)
     phi = params.mask("phi/")
@@ -275,8 +275,8 @@ def test_training_step_returns_estimate_and_value():
 
 
 def _single_pass_case(name):
-    if name == "sbn":
-        model = SigmoidBeliefNet(d_x=8, d_z=3, layers=2, nonlinear=True)
+    if name in ("sbn", "sbn3"):
+        model = SigmoidBeliefNet(d_x=8, d_z=3, layers=3 if name == "sbn3" else 2, nonlinear=True)
         x = (np.random.default_rng(2).random((3, 8)) < 0.5).astype(np.float64)
         return model, model.init_params(4), x
     if name == "toy":
@@ -307,6 +307,32 @@ def test_crn_training_step_scores_only_on_the_tape(monkeypatch, case, kind):
     value, _ = obj.training_step(spec, model, params, x, seed=11)
     assert numeric == []
     assert value == float(np.mean(np.asarray(want)))
+
+
+@pytest.mark.filterwarnings("ignore::tvo.errors.DegenerateWeightsWarning")
+@pytest.mark.parametrize("crn", [True, False], ids=["crn", "no_crn"])
+@pytest.mark.parametrize("case", ["toy", "sbn3", "vae"])
+def test_endpoint_specs_are_the_k1_riemann_sums(monkeypatch, case, crn):
+    # the ELBO and EUBO are the K = 1 lower and upper sums whatever schedule
+    # they are given, and only their two knots are ever tempered
+    model, params, x = _single_pass_case(case)
+    knots = []
+    tempered_columns = est.tempered_columns
+
+    def counted(log_w, betas):
+        knots.append(betas.size)
+        return tempered_columns(log_w, betas)
+
+    monkeypatch.setattr(est, "tempered_columns", counted)
+    for endpoint, bound in (("elbo", "tvo_lower"), ("eubo", "tvo_upper")):
+        want = obj.training_step(obj.ObjectiveSpec(bound, make_schedule(1), S=8),
+                                 model, params, x, seed=11, crn=crn)
+        for schedule in (None, make_schedule(1), make_schedule(4, 0.1, "log")):
+            value, grad = obj.training_step(obj.ObjectiveSpec(endpoint, schedule, S=8),
+                                            model, params, x, seed=11, crn=crn)
+            assert value == want[0]
+            np.testing.assert_array_equal(grad.vector, want[1].vector)
+    assert knots and set(knots) == {2}
 
 
 @pytest.mark.parametrize("case", ["sbn", "toy"])
@@ -395,7 +421,7 @@ def test_crn_training_gradient_sums_the_term_gradients(kind):
     table = build_weight_table(model, params, x, 8, spec.schedule.betas, 11)
     want = sum(width * covariance_gradient(model, params, None, table, k).vector
                for k, width in obj._riemann_terms(spec))
-    got = obj.training_gradient(spec, model, params, x, seed=11).vector
+    got = obj.training_step(spec, model, params, x, seed=11)[1].vector
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
 
 
@@ -421,7 +447,7 @@ def test_crn_gradient_of_continuous_models_is_score_function(case):
     table = build_weight_table(model, params, x, 8, spec.schedule.betas, 11)
     want = sum(width * covariance_gradient(model, params, None, table, k).vector
                for k, width in obj._riemann_terms(spec))
-    got = obj.training_gradient(spec, model, params, x, seed=11).vector
+    got = obj.training_step(spec, model, params, x, seed=11)[1].vector
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
 
 
