@@ -8,9 +8,10 @@ step (training_step plus adam_step), its wall time, the resident set read from
 /proc/self/statm afterwards and the minor page faults (getrusage ru_minflt)
 it took. Every 10th step and the last one are followed by one evaluate and
 one integrand curve, each printed the same way. The last line is a JSON
-summary: per kind of call, the median ms and the mean faults (faults come in
-bursts) over the calls after the first, which pays one-off set-up; and the
-largest resident sets.
+summary: the time and tracemalloc peak of the synthetic data draw
+(synth_ms, synth_peak_mb); per kind of call, the median ms and the mean
+faults (faults come in bursts) over the calls after the first, which pays
+one-off set-up; and the largest resident sets.
 
 Configurations (S = 10, every Riemann objective tvo_lower at beta1 = 0.3 on a
 log grid):
@@ -27,6 +28,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -64,11 +66,19 @@ def measured(fn):
     return out, ms, rss_mb(), minflt() - f0
 
 
-def build(name, batch):
-    kind, d_x, d_z, nonlinear, objective, K, eval_items, eval_S, gen_d_z, scale = CONFIGS[name]
-    data = trainer.synthetic_dataset("sbn", 999, d_x, n_train=max(480, batch), n_val=0,
+def dataset(name, batch):
+    """The configuration's synthetic data set."""
+    _, d_x, _, _, _, _, eval_items, _, gen_d_z, scale = CONFIGS[name]
+    return trainer.synthetic_dataset("sbn", 999, d_x, n_train=max(480, batch), n_val=0,
                                      n_test=max(CURVE_ITEMS, eval_items),
                                      generator_kwargs={"d_z": gen_d_z, "weight_scale": scale})
+
+
+def build(name, batch, data=None):
+    """(data, model, spec, eval items, eval S); `data` defaults to dataset(name, batch)."""
+    kind, d_x, d_z, nonlinear, objective, K, eval_items, eval_S, _, _ = CONFIGS[name]
+    if data is None:
+        data = dataset(name, batch)
     if kind == "sbn":
         model = models.SigmoidBeliefNet(d_x=d_x, d_z=d_z, layers=2, nonlinear=nonlinear)
         model.set_data_mean(data.train.mean(axis=0))
@@ -86,7 +96,13 @@ def main():
     ap.add_argument("--steps", type=int, default=100)
     args = ap.parse_args()
 
-    data, model, spec, eval_items, eval_S = build(args.config, args.batch)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    data = dataset(args.config, args.batch)
+    synth_ms = (time.perf_counter() - t0) * 1e3
+    synth_peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    tracemalloc.stop()
+    data, model, spec, eval_items, eval_S = build(args.config, args.batch, data)
     params = model.init_params(1)
     state = trainer.AdamState.for_params(params, lr=3e-3)
     items, curve_items = data.test[:eval_items], data.test[:CURVE_ITEMS]
@@ -114,7 +130,8 @@ def main():
                 calls[name].append((ms, rss, flt))
                 print(f"{name} {it + 1} {ms:.3f} {rss:.1f} {flt}")
 
-    summary = {"config": args.config, "batch": args.batch, "steps": args.steps}
+    summary = {"config": args.config, "batch": args.batch, "steps": args.steps,
+               "synth_ms": synth_ms, "synth_peak_mb": synth_peak_mb}
     for name, rows in (("step", steps), *calls.items()):
         timed = rows[1:] or rows
         summary[f"{name}_ms_p50"] = statistics.median(r[0] for r in timed)

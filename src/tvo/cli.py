@@ -24,7 +24,8 @@ from .models import (load_checkpoint, random_conjugate_gaussian, random_toy,
 from .objectives import ObjectiveSpec, training_step, warn_degenerate
 from .oracles import enumerate_states, ti_identity_check
 from .path import IntegrandCurve, integrand_curve, make_schedule
-from .trainer import FORMATS, RunConfig, build_dataset, build_model, sweep, train
+from .trainer import (FORMATS, RunConfig, build_dataset, build_model, schedule_reads, sweep,
+                      train)
 from .util import rng_stream, write_csv
 
 
@@ -225,11 +226,15 @@ def cmd_check_gradients(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _cov_objective(config):
+    """The objective a cov estimate differentiates; wake-sleep's is its wake bound."""
+    return config.objective if config.objective != "wake_sleep" else "tvo_lower"
+
+
 def _std_for(args, config, estimator, S, data, model, params):
     x_batch = data.train[:config.batch]
-    objective = config.objective if config.objective != "wake_sleep" else "tvo_lower"
     schedule = make_schedule(config.K, config.beta1, config.spacing)
-    spec = ObjectiveSpec(objective, schedule, S, config.optimize, "real")
+    spec = ObjectiveSpec(_cov_objective(config), schedule, S, config.optimize, "real")
 
     if estimator == "cov":
         def estimator_fn(rep_seed):
@@ -257,12 +262,15 @@ def cmd_diagnose_grad_std(args) -> int:
     if args.pretrain_iters:
         params = train(replace(config, iters=args.pretrain_iters, out=""), data).params
         iteration = args.pretrain_iters
-    estimators_list = args.estimator.split(",")
     rows = []
-    for estimator in estimators_list:
+    for estimator in args.estimator.split(","):
+        # only cov reads the schedule; reinforce and reparam take the ELBO's
+        kind = _cov_objective(config) if estimator == "cov" else "elbo"
+        reads_K, reads_beta1 = schedule_reads(kind, config.K, config.spacing)
         for S in args.S_list or [config.S]:
             std = _std_for(args, config, estimator, S, data, model, params)
-            rows.append((estimator, S, config.K, config.beta1, iteration, std))
+            rows.append((estimator, S, config.K if reads_K else None,
+                         config.beta1 if reads_beta1 else None, iteration, std))
             print(f"{estimator} S={S}: avg gradient std {std!r}")
     header = ["estimator", "S", "K", "beta1", "iteration", "avg_std"]
     write_csv(config.out or "grad_std.csv", header, rows, config.format == "jsonl")

@@ -514,6 +514,11 @@ class SigmoidBeliefNet(LatentModel):
         return noise, self._q_pass(view, _check_binary(x), noise, draw=True)
 
     def sample_joint(self, params, n, rng):
+        """Ancestral draw of n items. The stream holds one (n, d_z) block of
+        uniforms per latent layer, top first, and last the (n, d_x) block of
+        x, each in row order. x is drawn in tiles of max(1, TILE // d_x) rows
+        taken in row order from that last block, so its bits are those of one
+        whole draw while one tile of logits, uniforms and probabilities is held."""
         view = params.as_dict()
         z = np.zeros((n, 1, self.layers, self.d_z))
         top_probs = sigmoid(view["theta/prior"])
@@ -521,9 +526,14 @@ class SigmoidBeliefNet(LatentModel):
         for ell in range(self.layers - 1, 0, -1):
             logits = value_of(self._apply_map(view, f"theta/dec{ell}", 2.0 * z[:, :, ell, :] - 1.0))
             z[:, :, ell - 1, :] = (rng.random((n, 1, self.d_z)) < sigmoid(logits)).astype(np.float64)
-        logits_x = value_of(self._apply_map(view, "theta/decx", 2.0 * z[:, :, 0, :] - 1.0)) + self.x_bias
-        x = (rng.random((n, 1, self.d_x)) < sigmoid(logits_x)).astype(np.float64)
-        return x[:, 0, :], z[:, 0, :, :]
+        x = np.empty((n, self.d_x))
+        step = max(1, ad.TILE // self.d_x)
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            logits = value_of(self._apply_map(view, "theta/decx", 2.0 * z[rows, 0, 0, :] - 1.0))
+            logits += self.x_bias
+            np.less(rng.random(logits.shape), sigmoid(logits), out=x[rows])
+        return x, z[:, 0, :, :]
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,6 @@ def read_idx_labels(path) -> np.ndarray:
 @dataclass
 class Dataset:
     train: np.ndarray
-    val: np.ndarray
     test: np.ndarray
     generator: object = None        # frozen generator model, when synthetic
     generator_params: ParamVector = None
@@ -150,10 +149,11 @@ def binarize(pixels) -> np.ndarray:
 
 def load_mnist(images_path, test_images_path=None, labels_path=None,
                test_labels_path=None, limit=None) -> Dataset:
-    """Binarized MNIST with the 50k/10k/10k split.
+    """Binarized MNIST from IDX files.
 
     The 60k training file splits at exactly 50000/10000; other sizes split
-    5/6 to 1/6. `limit` keeps the first `limit` training items.
+    5/6 to 1/6. The first part trains; the held-out rest is the test split
+    when no test file is given. `limit` keeps the first `limit` training items.
     """
     raw = read_idx_images(images_path)
     if labels_path is not None:
@@ -163,7 +163,6 @@ def load_mnist(images_path, test_images_path=None, labels_path=None,
     n = raw.shape[0]
     cut = 50_000 if n == 60_000 else (n * 5) // 6
     train = binarize(raw[:cut])
-    val = binarize(raw[cut:])
     if test_images_path is not None:
         test_raw = read_idx_images(test_images_path)
         if test_labels_path is not None:
@@ -172,10 +171,10 @@ def load_mnist(images_path, test_images_path=None, labels_path=None,
                 raise FormatError("test image/label counts differ")
         test = binarize(test_raw)
     else:
-        test = val
+        test = binarize(raw[cut:])
     if limit is not None:
         train = train[:limit]
-    return Dataset(train=train, val=val, test=test)
+    return Dataset(train=train, test=test)
 
 
 def synthetic_dataset(kind, seed, d_x, n_train=1000, n_val=200, n_test=200,
@@ -185,6 +184,8 @@ def synthetic_dataset(kind, seed, d_x, n_train=1000, n_val=200, n_test=200,
     kind "toy" freezes a tabular generator (enumerable, so the exact data
     log evidence is available); kind "sbn" freezes a sigmoid belief net;
     kind "gaussian" the conjugate scalar Gaussian, which ignores d_x.
+    One draw of n_train + n_val + n_test items gives train, then n_val
+    items that are dropped, then test.
     """
     kwargs = dict(generator_kwargs or {})
     if kind == "toy":
@@ -204,8 +205,8 @@ def synthetic_dataset(kind, seed, d_x, n_train=1000, n_val=200, n_test=200,
         raise ConfigError(f"unknown synthetic dataset kind {kind!r}")
     rng = rng_stream(seed, 211)
     x, _ = gen.sample_joint(gen_params, n_train + n_val + n_test, rng)
-    return Dataset(train=x[:n_train], val=x[n_train:n_train + n_val],
-                   test=x[n_train + n_val:], generator=gen, generator_params=gen_params)
+    return Dataset(train=x[:n_train], test=x[n_train + n_val:], generator=gen,
+                   generator_params=gen_params)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +326,15 @@ def objective_specs(config: RunConfig) -> list[ObjectiveSpec]:
     schedule = make_schedule(config.K, config.beta1, config.spacing)
     return [ObjectiveSpec(config.objective, schedule, config.S,
                           config.optimize, config.data_source)]
+
+
+def schedule_reads(kind, K, spacing) -> tuple[bool, bool]:
+    """(reads K, reads beta1) for a run of objective `kind`: only the TVO
+    bounds take the configured schedule (every other objective, wake-sleep
+    included, runs on K = 1), and only log spacing past K = 1 places beta1."""
+    if kind not in ("tvo_lower", "tvo_upper"):
+        return False, False
+    return True, spacing == "log" and K > 1
 
 
 # ---------------------------------------------------------------------------
@@ -464,29 +474,37 @@ SWEEP_COLUMNS = ["cell", "beta1", "K", "S", "seed", "status",
 def sweep(config: RunConfig, beta1_list=None, K_list=None, S_list=None, data: Dataset = None):
     """Grid of independent runs; cell i runs with seed config.seed + i.
 
-    A cell that fails with a package error or an I/O error is recorded with
-    the status "error: <type>: <message>" and the sweep continues; any other
-    exception is a bug and propagates. Returns the rows
+    A row's beta1 and K cells are empty when its run reads no such value
+    (schedule_reads), and a beta1 or K list that no cell's run reads is a
+    ConfigError. A cell that fails with a package error or an I/O error is
+    recorded with the status "error: <type>: <message>" and the sweep
+    continues; any other exception is a bug and propagates. Returns the rows
     of the aggregated table (also written to <out>/sweep.csv when out is set,
     mirrored like each cell's files when config.format is jsonl).
     """
     beta1_axis = list(beta1_list) if beta1_list else [config.beta1]
     k_axis = list(K_list) if K_list else [config.K]
     s_axis = list(S_list) if S_list else [config.S]
+    cells = list(itertools.product(beta1_axis, k_axis, s_axis))
+    reads = [schedule_reads(config.objective, K, config.spacing) for _, K, _ in cells]
+    unread = [f"--{name}-list" for name, given, which in (("K", K_list, 0), ("beta1", beta1_list, 1))
+              if given and not any(r[which] for r in reads)]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: no cell's schedule reads it "
+                          f"(objective {config.objective}, {config.spacing} spacing)")
     rows, results = [], []
-    for cell, (beta1, K, S) in enumerate(itertools.product(beta1_axis, k_axis, s_axis)):
+    for cell, ((beta1, K, S), (reads_K, reads_beta1)) in enumerate(zip(cells, reads)):
         cell_out = f"{config.out}/cell{cell:03d}" if config.out else ""
         cell_config = replace(config, beta1=beta1, K=K, S=S, seed=config.seed + cell, out=cell_out)
+        label = (cell, beta1 if reads_beta1 else None, K if reads_K else None, S, cell_config.seed)
         try:
             result = train(cell_config, data)
             final = result.metrics[-1] if result.metrics else None
-            rows.append((cell, beta1, K, S, cell_config.seed,
-                         "aborted" if result.aborted else "ok",
+            rows.append((*label, "aborted" if result.aborted else "ok",
                          final.objective if final else None, result.final_test_log_evidence))
             results.append(result)
         except (TvoError, OSError) as exc:
-            rows.append((cell, beta1, K, S, cell_config.seed,
-                         f"error: {type(exc).__name__}: {exc}", None, None))
+            rows.append((*label, f"error: {type(exc).__name__}: {exc}", None, None))
             results.append(None)
     if config.out:
         write_csv(os.path.join(config.out, "sweep.csv"), SWEEP_COLUMNS, rows,

@@ -103,6 +103,37 @@ def test_diagnose_multiple_estimators_and_sizes(tmp_path):
     assert {r["S"] for r in records} == {5, 10}
 
 
+def test_diagnose_rows_leave_the_schedule_values_no_estimator_read_empty(tmp_path):
+    out = tmp_path / "g.csv"
+    common = [*TOY, "--S", "4", "--reps", "2", "--K", "3", "--seed", "3", "--out", str(out)]
+    assert run(["diagnose-grad-std", "--estimator", "reinforce,reinforce-baseline,cov",
+                *common]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[:4] for r in rows] == [["reinforce", "4", "", ""],
+                                     ["reinforce-baseline", "4", "", ""],
+                                     ["cov", "4", "3", "0.3"]]
+    for objective, spacing, want in (("elbo", "log", ["", ""]), ("wake_sleep", "log", ["3", "0.3"]),
+                                     ("tvo_upper", "equal", ["3", ""])):
+        assert run(["diagnose-grad-std", "--estimator", "cov", "--objective", objective,
+                    "--spacing", spacing, *common]) == 0
+        assert out.read_text().splitlines()[1].split(",")[2:4] == want
+
+
+def test_sweep_axis_no_schedule_reads_exits_two(tmp_path, capsys):
+    small = [*TOY, "--S", "4", "--iters", "2", "--batch", "4", "--train-items", "16",
+             "--test-items", "8", "--out", str(tmp_path / "sw")]
+    assert run(["sweep", *small, "--objective", "elbo", "--K-list", "1,4",
+                "--beta1-list", "0.1,0.5"]) == 2
+    assert "--K-list, --beta1-list" in capsys.readouterr().err
+    assert run(["sweep", *small, "--spacing", "equal", "--beta1-list", "0.1,0.5"]) == 2
+    assert "--beta1-list" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+    assert run(["sweep", *small, "--K-list", "1,4", "--beta1-list", "0.1,0.5"]) == 0
+    table = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[1:3] for line in table[1:]] == [["", "1"], ["0.1", "4"],
+                                                             ["", "1"], ["0.5", "4"]]
+
+
 def test_export_curve_posterior_matched_is_flat(tmp_path):
     out = tmp_path / "curve.csv"
     # checkpoint the posterior-matched proposal so the curve runs on it
@@ -188,11 +219,11 @@ def test_config_file_overrides_flags(tmp_path):
     out = tmp_path / "g.csv"
     code = run(["diagnose-grad-std", "--estimator", "cov", "--model", "toy",
                 "--dataset", "synthetic-toy", "--d-x", "2", "--m-latent", "2",
-                "--S", "4", "--reps", "2", "--K", "1", "--seed", "3",
+                "--S", "4", "--reps", "2", "--K", "2", "--seed", "3",
                 "--config", str(cfg), "--out", str(out)])
     assert code == 0
     line = out.read_text().strip().splitlines()[1]
-    assert line.startswith("cov,12,1,0.05")  # file values win over --S 4
+    assert line.startswith("cov,12,2,0.05")  # file values win over --S 4 (K 2 reads beta1)
 
 
 def test_config_file_unknown_key_rejected(tmp_path):

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tvo import models, oracles
+from tvo.autodiff import TILE, value_of
 from tvo.errors import DomainError, FormatError
 from tvo.models import (ConjugateGaussian, GaussianVAE, SigmoidBeliefNet,
                         ToyBernoulli, load_checkpoint, random_conjugate_gaussian,
                         random_toy, restore_params, save_checkpoint)
-from tvo.util import rng_stream
+from tvo.util import rng_stream, sigmoid
 
 
 def _batch_noise(model, rng, B, S):
@@ -133,6 +136,77 @@ def test_sbn_nonlinear_variant_runs():
     zs, _ = model.sample_q(params.as_dict(), x, _batch_noise(model, rng_stream(1, 2), 2, 3))
     lj = np.asarray(model.log_joint(params.as_dict(), x, zs))
     assert np.all(np.isfinite(lj))
+
+
+def _generator(d_x, d_z, scale, seed, nonlinear=True):
+    """A frozen synthetic-data SBN with scaled weights and a non-trivial x_bias."""
+    model = SigmoidBeliefNet(d_x=d_x, d_z=d_z, layers=2, nonlinear=nonlinear,
+                             x_mean=np.linspace(0.1, 0.9, d_x))
+    params = model.init_params(seed)
+    return model, params.with_vector(params.vector * scale)
+
+
+def _one_shot_sample_joint(model, params, n, rng):
+    """Reference ancestral draw: the observation layer in one (n, d_x) pass."""
+    view = params.as_dict()
+    z = np.zeros((n, 1, model.layers, model.d_z))
+    top_probs = sigmoid(view["theta/prior"])
+    z[:, 0, model.layers - 1, :] = (rng.random((n, model.d_z)) < top_probs).astype(np.float64)
+    for ell in range(model.layers - 1, 0, -1):
+        logits = value_of(model._apply_map(view, f"theta/dec{ell}", 2.0 * z[:, :, ell, :] - 1.0))
+        z[:, :, ell - 1, :] = (rng.random((n, 1, model.d_z)) < sigmoid(logits)).astype(np.float64)
+    logits_x = value_of(model._apply_map(view, "theta/decx", 2.0 * z[:, :, 0, :] - 1.0)) + model.x_bias
+    x = (rng.random((n, 1, model.d_x)) < sigmoid(logits_x)).astype(np.float64)
+    return x[:, 0, :], z[:, 0, :, :]
+
+
+@pytest.mark.parametrize("d_x,d_z,scale,n", [(784, 50, 2.5, 259), (64, 24, 4.0, 3077)])
+def test_sbn_sample_joint_in_row_tiles_matches_the_one_shot_draw(d_x, d_z, scale, n):
+    assert n > 2 * (TILE // d_x)  # at least three row tiles, the last one partial
+    model, params = _generator(d_x, d_z, scale, seed=999)
+    x, z = model.sample_joint(params, n, rng_stream(999, 211))
+    x_ref, z_ref = _one_shot_sample_joint(model, params, n, rng_stream(999, 211))
+    np.testing.assert_array_equal(x, x_ref)
+    np.testing.assert_array_equal(z, z_ref)
+
+
+def test_sbn_synthesis_peak_stays_below_twice_the_dataset():
+    from tvo.trainer import synthetic_dataset
+
+    tracemalloc.start()
+    try:
+        data = synthetic_dataset("sbn", 999, 784, n_train=1008, n_val=0, n_test=0,
+                                 generator_kwargs={"d_z": 50, "weight_scale": 2.5})
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.train.shape == (1008, 784)
+    assert peak < 2 * retained
+
+
+def test_sbn_sample_joint_frequencies_match_enumerated_joint():
+    """Chi-square of (x, z) counts against exp(log_joint) over all 16 x 64
+    states of a 2-layer SBN, cells with expected count below 5 pooled into
+    one. The bound is the 1 - 1e-4 quantile of chi-square(df) (Wilson-Hilferty)."""
+    model, params = _generator(4, 3, 2.5, seed=0)
+    n = 50_000
+    assert n > 2 * (TILE // model.d_x)
+    x, z = model.sample_joint(params, n, rng_stream(0, 77))
+    counts = np.bincount(models.bits_to_index(x) * 64 + models.bits_to_index(z.reshape(n, 6)),
+                         minlength=16 * 64)
+    xs = models.index_to_bits(np.arange(16), 4)
+    zs = np.broadcast_to(models.index_to_bits(np.arange(64), 6).reshape(1, 64, 2, 3), (16, 64, 2, 3))
+    p = np.exp(np.asarray(model.log_joint(params.as_dict(), xs, zs))).ravel()
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    expected = n * p
+    small = expected < 5
+    observed = np.append(counts[~small], counts[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    assert expected[-1] >= 5
+    df = observed.size - 1
+    stat = np.sum((observed - expected) ** 2 / expected)
+    bound = df * (1 - 2 / (9 * df) + 3.719 * np.sqrt(2 / (9 * df))) ** 3
+    assert stat < bound
 
 
 def test_vae_log_densities_finite_for_sampled_latents():

@@ -21,3 +21,4 @@ def test_step_memory_probe_runs_three_desk_steps():
     summary = json.loads(lines[-1])
     assert summary["config"] == "desk" and summary["batch"] == 8 and summary["steps"] == 3
     assert summary["rss_mb_max"] > 0 and summary["maxrss_mb"] > 0
+    assert summary["synth_ms"] > 0 and summary["synth_peak_mb"] > 0

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,11 +174,14 @@ def test_mnist_split_binarization_and_limit(tmp_path):
     write_idx_images(tmp_path / "t10k", test_images)
     data = tr.load_mnist(tmp_path / "train", tmp_path / "t10k")
     assert data.train.shape == (50_000, 4)
-    assert data.val.shape == (10_000, 4)
     assert data.test.shape == (100, 4)
-    for split in (data.train, data.val, data.test):
+    held_out = tr.load_mnist(tmp_path / "train").test  # no test file: the held-out slice
+    assert held_out.shape == (10_000, 4)
+    for split in (data.train, data.test, held_out):
         assert set(np.unique(split)) <= {0.0, 1.0}
     np.testing.assert_array_equal(data.train[0], (images[0].reshape(-1) > 127.5).astype(float))
+    np.testing.assert_array_equal(held_out, (images[50_000:].reshape(10_000, 4) > 127.5).astype(float))
+    np.testing.assert_array_equal(data.test, (test_images.reshape(100, 4) > 127.5).astype(float))
 
     limited = tr.load_mnist(tmp_path / "train", tmp_path / "t10k", limit=1000)
     assert limited.train.shape == (1000, 4)
@@ -339,6 +343,38 @@ def test_single_cell_sweep_is_byte_identical_to_train(tmp_path):
     direct_bytes = (tmp_path / "direct" / "metrics.csv").read_bytes()
     cell_bytes = (tmp_path / "sweep" / "cell000" / "metrics.csv").read_bytes()
     assert direct_bytes == cell_bytes
+
+
+@pytest.mark.filterwarnings("ignore::tvo.errors.DegenerateWeightsWarning")  # 2-step eubo cells
+def test_sweep_rows_leave_the_schedule_values_no_run_read_empty(tmp_path):
+    base = tr.RunConfig(model="toy", objective="tvo_lower", dataset="synthetic-toy",
+                        d_x=2, m_latent=2, S=4, iters=2, batch=4, seed=7, train_items=16,
+                        test_items=8, eval_samples=8, out=str(tmp_path / "log"))
+    rows, _ = tr.sweep(base, beta1_list=[0.2, 0.4], K_list=[1, 3])
+    assert [row[1:3] for row in rows] == [(None, 1), (0.2, 3), (None, 1), (0.4, 3)]
+    table = (tmp_path / "log" / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[1:3] for line in table[1:]] == [["", "1"], ["0.2", "3"],
+                                                             ["", "1"], ["0.4", "3"]]
+    rows, _ = tr.sweep(replace(base, spacing="equal", out=""), K_list=[1, 3])
+    assert [row[1:3] for row in rows] == [(None, 1), (None, 3)]
+    for objective in ("elbo", "eubo", "iwae", "wake_sleep"):
+        rows, _ = tr.sweep(replace(base, objective=objective, out=""), S_list=[2, 3])
+        assert [row[1:4] for row in rows] == [(None, None, 2), (None, None, 3)]
+
+
+@pytest.mark.parametrize("changes,lists,named", [
+    ({"objective": "elbo"}, {"K_list": [1, 4], "beta1_list": [0.1, 0.5]}, "--K-list, --beta1-list"),
+    ({"objective": "iwae"}, {"K_list": [4]}, "--K-list"),
+    ({"spacing": "equal"}, {"beta1_list": [0.1, 0.5]}, "--beta1-list"),
+    ({"K": 1}, {"beta1_list": [0.1, 0.5]}, "--beta1-list"),
+], ids=["elbo", "iwae", "equal", "K1"])
+def test_sweep_axis_no_schedule_reads_is_a_config_error(tmp_path, monkeypatch, changes, lists, named):
+    monkeypatch.setattr(tr, "train", None)  # no cell may start
+    config = replace(tr.RunConfig(model="toy", dataset="synthetic-toy", d_x=2, m_latent=2,
+                                  out=str(tmp_path / "sw")), **changes)
+    with pytest.raises(ConfigError, match=named):
+        tr.sweep(config, **lists)
+    assert not (tmp_path / "sw").exists()
 
 
 def test_sweep_records_cell_failures_and_continues(tmp_path):
