@@ -3,7 +3,9 @@
 
 Compares the reparameterization path, the covariance estimator, plain
 REINFORCE, and REINFORCE with independent baselines on the single-partition
-bound, across sample counts.
+bound, across sample counts. Every estimator is taken at the ELBO knot and
+reads no schedule, so each row leaves its K and beta1 cells empty, as
+`tvo diagnose-grad-std` does.
 """
 import argparse
 
@@ -43,7 +45,7 @@ def main():
     for kind in ("reparam", "cov", "reinforce-baseline", "reinforce"):
         for S in [int(v) for v in args.S_list.split(",")]:
             avg = float(np.mean([cell(kind, S, s) for s in range(args.seeds)]))
-            rows.append((kind, S, 1, 0.0, 0, avg))
+            rows.append((kind, S, None, None, 0, avg))
             print(f"{kind:>20} S={S:<4} avg std {avg:.4f}")
     write_csv(args.out, ["estimator", "S", "K", "beta1", "iteration", "avg_std"], rows)
     print(f"written to {args.out}")

@@ -180,9 +180,7 @@ class ToyBernoulli(LatentModel):
 
     def sample_joint(self, params, n, rng):
         prior = softmax(params.get("theta/prior"), axis=-1)
-        cum = np.cumsum(prior)
-        cum[-1] = 1.0
-        z = np.searchsorted(cum, rng.random(n), side="right").astype(np.int64)
+        z = _categorical_rows(prior[None, :], rng.random(n)[None, :])[0]
         lik = softmax(params.get("theta/likelihood"), axis=-1)[z]
         x_idx = _categorical_rows(lik, rng.random((n, 1)))[:, 0]
         return index_to_bits(x_idx, self.d_x), z

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamVector, Tape, backward
+from .autodiff import ParamVector
 from .errors import DomainError
 from .models import ConjugateGaussian, ToyBernoulli
 from .util import softmax
@@ -132,22 +132,13 @@ def gradient_lemma_gap(model: ToyBernoulli, params, x, beta) -> float:
     enum = enumerate_states(model, params, x)
     weights = enum.path_weights(float(beta))[0]
 
-    tape = Tape()
-    view = params.lift(tape)
-    lj = model.log_joint(view, x, z)
-    lq = model.log_q(view, x, z)
-    log_path = ad.add(ad.mul(float(beta), lj), ad.mul(1.0 - float(beta), lq))
-    log_z = ad.logsumexp(log_path)
-    backward(log_z)
-    lhs = params.collect_grad(view)
+    def log_path(view):
+        lj = model.log_joint(view, x, z)
+        lq = model.log_q(view, x, z)
+        return ad.add(ad.mul(float(beta), lj), ad.mul(1.0 - float(beta), lq))
 
-    tape2 = Tape()
-    view2 = params.lift(tape2)
-    lj2 = model.log_joint(view2, x, z)
-    lq2 = model.log_q(view2, x, z)
-    log_path2 = ad.add(ad.mul(float(beta), lj2), ad.mul(1.0 - float(beta), lq2))
-    backward(ad.tsum(ad.mul(weights[None, :], log_path2)))
-    rhs = params.collect_grad(view2)
+    _, lhs = ad.value_and_grad(lambda view: ad.logsumexp(log_path(view)), params)
+    _, rhs = ad.value_and_grad(lambda view: ad.tsum(ad.mul(weights[None, :], log_path(view))), params)
     return float(np.max(np.abs(lhs - rhs)))
 
 

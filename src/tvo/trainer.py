@@ -102,32 +102,22 @@ def adam_step(state: AdamState, params: ParamVector, gradient, maximize=False) -
 # datasets
 
 IDX_IMAGE_MAGIC = 0x00000803
-IDX_LABEL_MAGIC = 0x00000801
-
-
-def _read_idx(path, kind, magic_want, dims) -> np.ndarray:
-    """IDX file of `dims` big-endian sizes after its magic -> (N, rest) uint8 array."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head = 4 * (1 + dims)
-    if len(blob) < head:
-        raise FormatError(f"{path}: truncated header at byte {len(blob)}")
-    magic, n, *rest = struct.unpack_from(">" + "I" * (1 + dims), blob, 0)
-    if magic != magic_want:
-        raise FormatError(f"{path}: bad {kind} magic {magic:#010x} at byte 0")
-    width = int(np.prod(rest))
-    if len(blob) < head + n * width:
-        raise FormatError(f"{path}: truncated {kind} data at byte {len(blob)} (need {head + n * width})")
-    return np.frombuffer(blob, dtype=np.uint8, count=n * width, offset=head).reshape(n, width)
 
 
 def read_idx_images(path) -> np.ndarray:
     """IDX image file -> (N, rows*cols) uint8 array."""
-    return _read_idx(path, "image", IDX_IMAGE_MAGIC, 3)
-
-
-def read_idx_labels(path) -> np.ndarray:
-    return _read_idx(path, "label", IDX_LABEL_MAGIC, 1)[:, 0]
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    head = 16
+    if len(blob) < head:
+        raise FormatError(f"{path}: truncated header at byte {len(blob)}")
+    magic, n, rows, cols = struct.unpack_from(">IIII", blob, 0)
+    if magic != IDX_IMAGE_MAGIC:
+        raise FormatError(f"{path}: bad image magic {magic:#010x} at byte 0")
+    width = rows * cols
+    if len(blob) < head + n * width:
+        raise FormatError(f"{path}: truncated image data at byte {len(blob)} (need {head + n * width})")
+    return np.frombuffer(blob, dtype=np.uint8, count=n * width, offset=head).reshape(n, width)
 
 
 @dataclass
@@ -147,34 +137,18 @@ def binarize(pixels) -> np.ndarray:
     return (np.asarray(pixels) > 127.5).astype(np.float64)
 
 
-def load_mnist(images_path, test_images_path=None, labels_path=None,
-               test_labels_path=None, limit=None) -> Dataset:
+def load_mnist(images_path, test_images_path=None) -> Dataset:
     """Binarized MNIST from IDX files.
 
     The 60k training file splits at exactly 50000/10000; other sizes split
     5/6 to 1/6. The first part trains; the held-out rest is the test split
-    when no test file is given. `limit` keeps the first `limit` training items.
+    when no test file is given.
     """
     raw = read_idx_images(images_path)
-    if labels_path is not None:
-        labels = read_idx_labels(labels_path)
-        if labels.shape[0] != raw.shape[0]:
-            raise FormatError("image/label counts differ")
     n = raw.shape[0]
     cut = 50_000 if n == 60_000 else (n * 5) // 6
-    train = binarize(raw[:cut])
-    if test_images_path is not None:
-        test_raw = read_idx_images(test_images_path)
-        if test_labels_path is not None:
-            test_labels = read_idx_labels(test_labels_path)
-            if test_labels.shape[0] != test_raw.shape[0]:
-                raise FormatError("test image/label counts differ")
-        test = binarize(test_raw)
-    else:
-        test = binarize(raw[cut:])
-    if limit is not None:
-        train = train[:limit]
-    return Dataset(train=train, test=test)
+    test_raw = raw[cut:] if test_images_path is None else read_idx_images(test_images_path)
+    return Dataset(train=binarize(raw[:cut]), test=binarize(test_raw))
 
 
 def synthetic_dataset(kind, seed, d_x, n_train=1000, n_val=200, n_test=200,
@@ -238,9 +212,7 @@ class RunConfig:
     seed: int = 0
     dataset: str = "synthetic-toy"
     images: str = ""
-    labels: str = ""
     test_images: str = ""
-    test_labels: str = ""
     limit: int = 0
     out: str = ""
     format: str = "csv"             # every CSV of the run; jsonl also mirrors each
@@ -295,10 +267,8 @@ def build_dataset(config: RunConfig) -> Dataset:
     if config.dataset == "mnist":
         if not config.images:
             raise ConfigError("mnist dataset needs --images")
-        return load_mnist(config.images, config.test_images or None,
-                          config.labels or None, config.test_labels or None,
-                          limit=config.limit or None)
-    if config.dataset == "synthetic-toy":
+        data = load_mnist(config.images, config.test_images or None)
+    elif config.dataset == "synthetic-toy":
         data = synthetic_dataset("toy", config.generator_seed, config.d_x,
                                  n_train=config.train_items, n_test=config.test_items,
                                  generator_kwargs={"m": config.m_latent})
@@ -472,7 +442,8 @@ SWEEP_COLUMNS = ["cell", "beta1", "K", "S", "seed", "status",
 
 
 def sweep(config: RunConfig, beta1_list=None, K_list=None, S_list=None, data: Dataset = None):
-    """Grid of independent runs; cell i runs with seed config.seed + i.
+    """Grid of independent runs; cell i of the axes' product runs with seed
+    config.seed + i, and only when its (beta1, K, S) row values are new.
 
     A row's beta1 and K cells are empty when its run reads no such value
     (schedule_reads), and a beta1 or K list that no cell's run reads is a
@@ -492,11 +463,15 @@ def sweep(config: RunConfig, beta1_list=None, K_list=None, S_list=None, data: Da
     if unread:
         raise ConfigError(f"{', '.join(unread)}: no cell's schedule reads it "
                           f"(objective {config.objective}, {config.spacing} spacing)")
-    rows, results = [], []
+    rows, results, seen = [], [], set()
     for cell, ((beta1, K, S), (reads_K, reads_beta1)) in enumerate(zip(cells, reads)):
+        values = (beta1 if reads_beta1 else None, K if reads_K else None, S)
+        if values in seen:
+            continue
+        seen.add(values)
         cell_out = f"{config.out}/cell{cell:03d}" if config.out else ""
         cell_config = replace(config, beta1=beta1, K=K, S=S, seed=config.seed + cell, out=cell_out)
-        label = (cell, beta1 if reads_beta1 else None, K if reads_K else None, S, cell_config.seed)
+        label = (cell, *values, cell_config.seed)
         try:
             result = train(cell_config, data)
             final = result.metrics[-1] if result.metrics else None

@@ -130,8 +130,8 @@ def test_sweep_axis_no_schedule_reads_exits_two(tmp_path, capsys):
     assert not (tmp_path / "sw").exists()
     assert run(["sweep", *small, "--K-list", "1,4", "--beta1-list", "0.1,0.5"]) == 0
     table = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
-    assert [line.split(",")[1:3] for line in table[1:]] == [["", "1"], ["0.1", "4"],
-                                                             ["", "1"], ["0.5", "4"]]
+    assert [line.split(",")[:3] for line in table[1:]] == [["0", "", "1"], ["1", "0.1", "4"],
+                                                           ["3", "0.5", "4"]]
 
 
 def test_export_curve_posterior_matched_is_flat(tmp_path):
@@ -231,6 +231,16 @@ def test_config_file_unknown_key_rejected(tmp_path):
     cfg.write_text("frobnicate=1\n")
     assert run(["eval", "--model", "toy", "--dataset", "synthetic-toy", "--d-x", "2",
                 "--m-latent", "2", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("key", ["labels", "test_labels"])
+def test_config_file_label_keys_are_unknown(tmp_path, capsys, key):
+    # a config.cfg written before the label flags were removed holds both lines
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"model=toy\n{key}=x\n")
+    for command in ("train", "sweep", "eval", "diagnose-grad-std", "export-curve"):
+        assert run([command, "--config", str(cfg)]) == 2
+        assert f"{cfg}:2: unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_sweep_cli_single_cell(tmp_path):

@@ -133,28 +133,17 @@ def write_idx_images(path, images):
         fh.write(images.astype(np.uint8).tobytes())
 
 
-def write_idx_labels(path, labels):
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", 0x00000801, labels.size))
-        fh.write(labels.astype(np.uint8).tobytes())
-
-
 def test_idx_magic_numbers_accepted_and_rejected(tmp_path):
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, size=(10, 4, 4))
-    labels = rng.integers(0, 10, size=10)
     write_idx_images(tmp_path / "imgs", images)
-    write_idx_labels(tmp_path / "labels", labels)
     assert tr.read_idx_images(tmp_path / "imgs").shape == (10, 16)
-    assert tr.read_idx_labels(tmp_path / "labels").shape == (10,)
 
     bad = tmp_path / "bad"
     with open(bad, "wb") as fh:
         fh.write(struct.pack(">IIII", 0x00000802, 1, 2, 2) + b"\x00" * 4)
     with pytest.raises(FormatError, match="byte 0"):
         tr.read_idx_images(bad)
-    with pytest.raises(FormatError, match="byte 0"):
-        tr.read_idx_labels(tmp_path / "imgs")
 
 
 def test_idx_truncation_reports_offset(tmp_path):
@@ -183,18 +172,11 @@ def test_mnist_split_binarization_and_limit(tmp_path):
     np.testing.assert_array_equal(held_out, (images[50_000:].reshape(10_000, 4) > 127.5).astype(float))
     np.testing.assert_array_equal(data.test, (test_images.reshape(100, 4) > 127.5).astype(float))
 
-    limited = tr.load_mnist(tmp_path / "train", tmp_path / "t10k", limit=1000)
+    limited = tr.build_dataset(tr.RunConfig(dataset="mnist", images=str(tmp_path / "train"),
+                                            test_images=str(tmp_path / "t10k"), limit=1000))
     assert limited.train.shape == (1000, 4)
     np.testing.assert_array_equal(limited.train, data.train[:1000])
-
-
-def test_mnist_label_count_mismatch_rejected(tmp_path):
-    images = np.zeros((12, 2, 2), dtype=np.uint8)
-    labels = np.zeros(11, dtype=np.uint8)
-    write_idx_images(tmp_path / "imgs", images)
-    write_idx_labels(tmp_path / "lbls", labels)
-    with pytest.raises(FormatError, match="counts differ"):
-        tr.load_mnist(tmp_path / "imgs", labels_path=tmp_path / "lbls")
+    np.testing.assert_array_equal(limited.test, data.test)
 
 
 # config guards ------------------------------------------------------------------
@@ -351,10 +333,14 @@ def test_sweep_rows_leave_the_schedule_values_no_run_read_empty(tmp_path):
                         d_x=2, m_latent=2, S=4, iters=2, batch=4, seed=7, train_items=16,
                         test_items=8, eval_samples=8, out=str(tmp_path / "log"))
     rows, _ = tr.sweep(base, beta1_list=[0.2, 0.4], K_list=[1, 3])
-    assert [row[1:3] for row in rows] == [(None, 1), (0.2, 3), (None, 1), (0.4, 3)]
+    # product cell 2 repeats cell 0's (K = 1) row values, so it is not run
+    assert [(row[0], *row[1:3], row[4]) for row in rows] == [(0, None, 1, 7), (1, 0.2, 3, 8),
+                                                             (3, 0.4, 3, 10)]
     table = (tmp_path / "log" / "sweep.csv").read_text().splitlines()
-    assert [line.split(",")[1:3] for line in table[1:]] == [["", "1"], ["0.2", "3"],
-                                                             ["", "1"], ["0.4", "3"]]
+    assert [line.split(",")[:3] for line in table[1:]] == [["0", "", "1"], ["1", "0.2", "3"],
+                                                           ["3", "0.4", "3"]]
+    assert sorted(p.name for p in (tmp_path / "log").glob("cell*")) == ["cell000", "cell001",
+                                                                        "cell003"]
     rows, _ = tr.sweep(replace(base, spacing="equal", out=""), K_list=[1, 3])
     assert [row[1:3] for row in rows] == [(None, 1), (None, 3)]
     for objective in ("elbo", "eubo", "iwae", "wake_sleep"):
