@@ -16,12 +16,13 @@ import numpy as np
 from .autodiff import finite_difference_gradient, random_check_network, value_and_grad
 from .errors import (ConfigError, DomainError, FormatError, TvoError,
                      UnsupportedEstimatorError)
-from .estimators import (build_weight_table, gradient_std_diagnostic, reduce_blocks,
+from .estimators import (build_weight_table, gradient_std_diagnostic, iwae_estimate,
                          reinforce_baseline_gradient, reinforce_gradient,
-                         reparam_gradient)
+                         reparam_gradient, table_blocks)
 from .models import (load_checkpoint, random_conjugate_gaussian, random_toy,
                      restore_params)
-from .objectives import ObjectiveSpec, training_step, warn_degenerate
+from .objectives import (ObjectiveSpec, elbo_estimate, eubo_estimate, training_step,
+                         tvo_lower, tvo_upper)
 from .oracles import enumerate_states, ti_identity_check
 from .path import IntegrandCurve, integrand_curve, make_schedule
 from .trainer import (FORMATS, RunConfig, build_dataset, build_model, schedule_reads, sweep,
@@ -170,13 +171,12 @@ def cmd_eval(args) -> int:
     config, data, model, params = _resolve(args)
     schedule = make_schedule(config.K, config.beta1, config.spacing)
     seed = int(rng_stream(config.seed, 5).integers(2 ** 31))
-    streamed = reduce_blocks(model, params, data.test[:config.eval_items],
-                             config.eval_samples, seed, schedule)
-    warn_degenerate(streamed.ess[:, -1])
-    g, widths = streamed.g, schedule.widths
-    per_item = {"elbo": streamed.elbo, "eubo": g[:, -1], "iwae": streamed.iwae,
-                "tvo_lower": g[:, :-1] @ widths, "tvo_upper": g[:, 1:] @ widths}
-    rows = [(name, float(np.mean(v))) for name, v in per_item.items()]
+    parts = [(elbo_estimate(table), eubo_estimate(table), iwae_estimate(table.log_w),
+              tvo_lower(table, schedule), tvo_upper(table, schedule))
+             for table in table_blocks(model, params, data.test[:config.eval_items],
+                                       config.eval_samples, seed, schedule)]
+    names = ("elbo", "eubo", "iwae", "tvo_lower", "tvo_upper")
+    rows = [(name, float(np.mean(np.concatenate(v)))) for name, v in zip(names, zip(*parts))]
     for name, value in rows:
         print(f"{name} {value!r}")
     if config.out:
@@ -280,8 +280,10 @@ def cmd_diagnose_grad_std(args) -> int:
 def cmd_export_curve(args) -> int:
     if args.grid < 1:
         raise ConfigError(f"grid must be at least 1, got {args.grid}")
-    config, data, model, params = _resolve(args)
     grid = np.array(args.betas) if args.betas else np.linspace(0.0, 1.0, args.grid)
+    if not np.all(np.diff(grid) > 0):
+        raise ConfigError(f"--betas must be strictly increasing, got {args.betas}")
+    config, data, model, params = _resolve(args)
     items = data.test[:config.eval_items]
     seed = int(rng_stream(config.seed, 5).integers(2 ** 31))
     curve = integrand_curve(model, params, items, grid, config.eval_samples, seed)

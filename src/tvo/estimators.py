@@ -202,44 +202,16 @@ def iwae_estimate(log_w):
     return float(out[0]) if single else out
 
 
-@dataclass
-class Streamed:
-    """Per-item estimates of a batch (reduce_blocks); knot fields are None without a grid."""
-
-    iwae: np.ndarray              # (n,) log mean weight
-    elbo: np.ndarray              # (n,) uniform mean of U'
-    g: np.ndarray = None          # (n, K+1) like var and ess: sum_s w_s^beta U'(z_s)
-    var: np.ndarray = None        # delta method: sum_s (w_s^beta)^2 (U'(z_s) - g)^2
-    ess: np.ndarray = None        # 1 / sum_s (w_s^beta)^2
-
-
-def reduce_blocks(model, params, x, S, seed, betas=None) -> Streamed:
-    """Per-item IWAE and ELBO of S proposal samples per item of x and, given
-    a beta grid, per knot g, the delta-method variance and the ESS.
-
-    The one consumer of tape-free score_blocks: each block is reduced to its
-    items' numbers, the whole table's bit for bit, before the next is drawn.
-    The ELBO contracts a uniform (n, 1, S) column as WeightTable.g would
-    (log_w.mean rounds differently), so no grid means no tempering; with
-    one, each block is tempered once, and its variance and ESS share one
-    pass over its squared weights. A non-finite g reads nan variance. A
-    block's columns are released only once the next block's exist, or
-    glibc trims the heap top after each block and the next faults it in.
+def table_blocks(model, params, x, S, seed, betas):
+    """Each tape-free block of S proposal samples per item of x, as a
+    WeightTable tempered on `betas` without latents: the one consumer of
+    tape-free score_blocks. A caller that holds a block's table until the
+    next one exists (a loop variable does) keeps glibc from trimming the
+    heap top after each block and faulting it in again for the next.
     """
-    grid = None if betas is None else _as_beta_grid(betas)
-    parts = []
+    betas = _as_beta_grid(betas)
     for _, _, log_w, _, _ in score_blocks(model, params.as_dict(), x, S, seed):
-        uniform = np.full((log_w.shape[0], 1, S), 1.0 / S)
-        parts.append([iwae_estimate(log_w), np.einsum("bts,bs->bt", uniform, log_w)[:, 0]])
-        if grid is not None:
-            table = WeightTable(grid, log_w, tempered_columns(log_w, grid), None, None, seed)
-            dev = table.deviations(log_w, table.g)
-            w2 = np.square(table.norm_w, out=table.norm_w)
-            dev *= dev
-            dev *= w2
-            parts[-1] += [table.g, dev.sum(axis=2), 1.0 / w2.sum(axis=2)]
-            del dev
-    return Streamed(*map(np.concatenate, zip(*parts)))
+        yield WeightTable(betas, log_w, tempered_columns(log_w, betas), None, None, seed)
 
 
 def build_weight_table(model, params, x, S, schedule, seed) -> WeightTable:

@@ -393,8 +393,8 @@ class SigmoidBeliefNet(LatentModel):
     """
 
     def __init__(self, d_x=784, d_z=20, layers=2, nonlinear=False, x_mean=None):
-        if layers < 1:
-            raise DomainError("need at least one latent layer")
+        if layers < 1 or d_x < 1 or d_z < 1:
+            raise DomainError(f"need layers, d_x and d_z of at least 1, got {layers}, {d_x}, {d_z}")
         self.d_x = d_x
         self.d_z = d_z
         self.layers = layers
@@ -543,6 +543,8 @@ class GaussianVAE(LatentModel):
     encoder trunk with separate linear heads for the mean and log std."""
 
     def __init__(self, d_x=784, d_z=20):
+        if d_x < 1 or d_z < 1:
+            raise DomainError(f"need d_x and d_z of at least 1, got {d_x}, {d_z}")
         self.d_x = d_x
         self.d_z = d_z
 

@@ -69,15 +69,10 @@ def eubo_estimate(table: WeightTable):
     Warns when the effective sample size of that column drops below 2.
     """
     k = table.beta_index(1.0)
-    warn_degenerate(effective_sample_size(table.column(k), axis=1))
-    return table.squeeze(table.g[:, k])
-
-
-def warn_degenerate(ess):
-    """Warns when an effective sample size of the posterior-end column is below 2."""
-    if np.any(ess < 2.0):
+    if np.any(effective_sample_size(table.column(k), axis=1) < 2.0):
         warnings.warn("effective sample size below 2 in the posterior-end column",
-                      DegenerateWeightsWarning, stacklevel=3)
+                      DegenerateWeightsWarning, stacklevel=2)
+    return table.squeeze(table.g[:, k])
 
 
 def _check_knots(table: WeightTable, schedule: PartitionSchedule):

@@ -96,18 +96,26 @@ def integrand_curve(model, params, x, betas, S, seed) -> IntegrandCurve:
     One batch of S proposal samples per datum serves every grid point; only
     the tempered weights change along the grid. Standard errors use the
     self-normalized importance-sampling delta method, pooled over data items.
-    The batch is streamed block by block (estimators.reduce_blocks), so
+    The batch is streamed block by block (estimators.table_blocks), so
     neither its latents nor its (B, K+1, S) columns ever exist at once, and
     the result is the whole-table one bit for bit. A non-finite estimate at
     any knot raises NumericalError.
     """
-    from .estimators import reduce_blocks  # deferred: estimators imports path
+    from .estimators import table_blocks  # deferred: estimators imports path
 
-    streamed = reduce_blocks(model, params, x, S, seed, betas)
-    g = streamed.g
+    parts = []
+    for table in table_blocks(model, params, x, S, seed, betas):
+        # delta method: sum_s (w_s^beta)^2 (U'(z_s) - g)^2, nan for a non-finite g
+        dev = table.deviations(table.log_w, table.g)
+        w2 = np.square(table.norm_w, out=table.norm_w)
+        dev *= dev
+        dev *= w2
+        parts.append((table.g, dev.sum(axis=2)))
+        del dev
+    g, var = map(np.concatenate, zip(*parts))
     if not np.all(np.isfinite(g)):
         raise NumericalError("non-finite integrand estimate; weights degenerate on this grid")
     # averaged over contiguous per-knot rows, as np.mean reduces one knot's
     # estimates, so grid endpoints reproduce the mean ELBO/EUBO bit for bit
     values = np.ascontiguousarray(g.T).mean(axis=1)
-    return IntegrandCurve(betas, values, np.sqrt(streamed.var.sum(axis=0)) / g.shape[0])
+    return IntegrandCurve(betas, values, np.sqrt(var.sum(axis=0)) / g.shape[0])

@@ -17,10 +17,10 @@ import numpy as np
 
 from .autodiff import TILE, ParamVector
 from .errors import ConfigError, DomainError, FormatError, NumericalError, TvoError
-from .estimators import gradient_std_diagnostic, reduce_blocks
+from .estimators import gradient_std_diagnostic, iwae_estimate, table_blocks
 from .models import (ConjugateGaussian, GaussianVAE, SigmoidBeliefNet,
                      ToyBernoulli, save_checkpoint)
-from .objectives import ObjectiveSpec, training_step
+from .objectives import ObjectiveSpec, elbo_estimate, training_step
 from .path import make_schedule
 from .util import rng_stream, write_csv
 
@@ -237,6 +237,8 @@ class RunConfig:
         for name in ("eval_interval", "grad_std_every", "limit"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must not be negative, got {getattr(self, name)}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {', '.join(FORMATS)}, got {self.format!r}")
         if not self.allow_full_scale:
@@ -259,6 +261,8 @@ def build_model(config: RunConfig, data: Dataset):
     if config.model == "gaussian-vae":
         return GaussianVAE(d_x=data.d_x, d_z=config.d_z)
     if config.model in ("conjugate-gaussian", "gaussian"):
+        if data.d_x != 1:
+            raise ConfigError(f"model {config.model} needs scalar observations, got d_x={data.d_x}")
         return ConjugateGaussian()
     raise ConfigError(f"unknown model {config.model!r}")
 
@@ -282,7 +286,7 @@ def build_dataset(config: RunConfig) -> Dataset:
     else:
         raise ConfigError(f"unknown dataset {config.dataset!r}")
     if config.limit:
-        data = replace(data, train=data.train[:config.limit])
+        data = replace(data, train=data.train[:config.limit].copy())  # a view would keep the full split
     return data
 
 
@@ -347,9 +351,12 @@ class TrainResult:
 
 def evaluate(model, params, items, S_eval, seed):
     """(mean IWAE log-evidence, mean ELBO) over a fixed eval subset, streamed
-    block by block without tempering (estimators.reduce_blocks)."""
-    streamed = reduce_blocks(model, params, items, S_eval, seed)
-    return float(np.mean(streamed.iwae)), float(np.mean(streamed.elbo))
+    block by block (estimators.table_blocks) on the one knot beta = 0, which
+    is never exponentiated."""
+    parts = [(iwae_estimate(table.log_w), elbo_estimate(table))
+             for table in table_blocks(model, params, items, S_eval, seed, [0.0])]
+    iwae, elbo = map(np.concatenate, zip(*parts))
+    return float(np.mean(iwae)), float(np.mean(elbo))
 
 
 def train(config: RunConfig, data: Dataset = None) -> TrainResult:

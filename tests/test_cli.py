@@ -446,3 +446,30 @@ def test_malformed_lists_and_an_empty_grid_are_config_errors(tmp_path, capsys, c
         assert run([command, *TOY, *given, "--out", str(tmp_path / "never.csv")]) == 2
         assert flag[2:] in capsys.readouterr().err
     assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "sbn", "--dataset", "synthetic-sbn", "--d-z", "0"],
+    ["--model", "gaussian-vae", "--dataset", "synthetic-sbn", "--d-z", "0"],
+    ["--model", "sbn", "--dataset", "synthetic-sbn", "--d-x", "0"],
+    ["--model", "conjugate-gaussian", "--dataset", "synthetic-toy"],
+    ["--lr", "-1"],
+    ["--lr", "0"],
+], ids=lambda argv: "-".join(a.strip("-") for a in argv))
+def test_bad_sizes_pairings_and_rates_are_config_errors(capsys, argv):
+    assert run(["train", "--iters", "2", *argv]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_export_curve_betas_must_increase(tmp_path, capsys):
+    for betas in ("1,0,0.5,0.5", "0,0.5,0.5,1", "0.5,0.2"):
+        assert run(["export-curve", *TOY, "--betas", betas, "--out", str(tmp_path / "c.csv")]) == 2
+        assert "strictly increasing" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_eval_warns_on_a_degenerate_posterior_column(capsys):
+    from tvo.errors import DegenerateWeightsWarning
+
+    with pytest.warns(DegenerateWeightsWarning, match="effective sample size below 2"):
+        assert run(["eval", *TOY, "--eval-samples", "2"]) == 0

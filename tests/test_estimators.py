@@ -617,8 +617,8 @@ def test_inference_network_runs_once_per_table(monkeypatch):
 
 
 def test_blocked_evaluate_matches_table_estimates(monkeypatch):
-    # evaluate tempers no knot (each block's ELBO contracts its uniform
-    # beta = 0 column directly), yet returns exactly the estimates of a
+    # evaluate tempers each block on the single knot beta = 0 (its uniform
+    # column is never exponentiated), yet returns exactly the estimates of a
     # [0, 1] table
     from tvo.objectives import elbo_estimate, iwae_estimate
     from tvo.trainer import evaluate
@@ -638,9 +638,21 @@ def test_blocked_evaluate_matches_table_estimates(monkeypatch):
         monkeypatch.setattr(est, "tempered_columns", recorded)
         iwae, elbo = evaluate(model, params, x, BLOCKED_S, 21)
         monkeypatch.undo()
-        assert knots == []
+        assert knots and all(grid == [0.0] for grid in knots)
         assert iwae == float(np.mean(iwae_estimate(table.log_w)))
         assert elbo == float(np.mean(elbo_estimate(table)))
+
+
+def test_curve_reads_no_iwae(monkeypatch):
+    # the curve reduces each block to g and its variance; it takes no log mean weight
+    def refuse(log_w):
+        raise AssertionError("integrand_curve computed an IWAE estimate")
+
+    model = SigmoidBeliefNet(d_x=16, d_z=5)
+    x = _binary_items(6, 16, seed=2)
+    monkeypatch.setattr(est, "iwae_estimate", refuse)
+    curve = integrand_curve(model, model.init_params(5), x, np.linspace(0.0, 1.0, 5), BLOCKED_S, 8)
+    assert np.all(np.isfinite(curve.values))
 
 
 def test_blocked_curve_starts_at_the_evaluate_elbo():

@@ -179,6 +179,15 @@ def test_mnist_split_binarization_and_limit(tmp_path):
     np.testing.assert_array_equal(limited.test, data.test)
 
 
+def test_a_limited_mnist_split_owns_its_rows(tmp_path):
+    # the limited split is a copy: it keeps no view of the full binarized split alive
+    images = np.random.default_rng(2).integers(0, 256, size=(300, 2, 2))
+    write_idx_images(tmp_path / "train", images)
+    data = tr.build_dataset(tr.RunConfig(dataset="mnist", images=str(tmp_path / "train"), limit=10))
+    assert data.train.shape == (10, 4)
+    assert data.train.base is None
+
+
 # config guards ------------------------------------------------------------------
 
 
