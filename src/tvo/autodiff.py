@@ -41,8 +41,8 @@ from . import util
 from .errors import DomainError, NumericalError, ShapeError, UsageError
 
 __all__ = [
-    "TILE", "Tape", "Var", "backward", "add", "sub", "mul", "div", "neg", "matmul",
-    "affine", "tsum", "tmean", "exp", "log", "sigmoid", "tanh", "log_sigmoid",
+    "TILE", "Tape", "Var", "backward", "add", "sub", "mul", "neg", "matmul",
+    "affine", "tsum", "tmean", "exp", "tanh", "log_sigmoid",
     "bernoulli_logpmf", "logsumexp", "log_softmax", "gather", "reshape", "value_of",
     "ParamVector", "finite_difference_gradient", "value_and_grad",
     "random_check_network",
@@ -186,13 +186,6 @@ def backward(out: Var) -> None:
     _finished.append(tape)
 
 
-def grad_of(var: Var) -> np.ndarray:
-    """Gradient slot of a leaf after backward; zeros if the leaf was unused."""
-    if var.tape is not None:
-        raise UsageError("gradient requested before backward ran on this tape")
-    return var.grad if var.grad is not None else np.zeros_like(var.value)
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -240,13 +233,6 @@ def mul(a, b):
                  (b, lambda g: _unbroadcast(g * av, bv.shape)))
 
 
-def div(a, b):
-    av, bv = value_of(a), value_of(b)
-    return _node("div", av / bv,
-                 (a, lambda g: _unbroadcast(g / bv, av.shape)),
-                 (b, lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape)))
-
-
 def neg(a):
     return _node("neg", -value_of(a), (a, np.negative))
 
@@ -289,18 +275,6 @@ def tmean(a, axis=None, keepdims=False):
 def exp(a):
     out = np.exp(value_of(a))
     return _node("exp", out, (a, lambda g: g * out))
-
-
-def log(a):
-    av = value_of(a)
-    with np.errstate(divide="ignore"):
-        out = np.log(av)
-    return _node("log", out, (a, lambda g: g / av))
-
-
-def sigmoid(a):
-    out = util.sigmoid(value_of(a))
-    return _node("sigmoid", out, (a, lambda g: g * out * (1.0 - out)))
 
 
 def tanh(a):
@@ -392,15 +366,13 @@ def logsumexp(a, axis=None, keepdims=False):
     av = value_of(a)
     m = np.max(av, axis=axis, keepdims=True)
     m_safe = np.where(np.isfinite(m), m, 0.0)
-    shifted = np.where(av == -np.inf, -np.inf, av - m_safe)
-    with np.errstate(divide="ignore"):
-        total = np.sum(np.exp(shifted), axis=axis, keepdims=True)
+    with np.errstate(divide="ignore"):  # log(0) on an all -inf row, which out_k replaces by m
+        total = np.sum(np.exp(av - m_safe), axis=axis, keepdims=True)
         out_k = np.where(np.isfinite(m), m_safe + np.log(total), m)
     out = out_k if keepdims else (np.squeeze(out_k, axis=axis) if axis is not None else out_k.reshape(()))
 
-    def vjp(g):  # g times the softmax of a, which is 0 where a = -inf
-        with np.errstate(invalid="ignore"):
-            soft = np.where(av == -np.inf, 0.0, np.exp(av - np.where(np.isfinite(out_k), out_k, 0.0)))
+    def vjp(g):  # g times the softmax of a; exp(-inf - finite) = 0 where a = -inf
+        soft = np.exp(av - np.where(np.isfinite(out_k), out_k, 0.0))
         return _unreduce(g, av.ndim, axis, keepdims) * soft
 
     return _node("logsumexp", out, (a, vjp))
@@ -606,11 +578,9 @@ def random_check_network(seed: int):
 
     def fn(view):
         h1 = tanh(affine(x0, view["w1"], view["b1"]))
-        h2 = sigmoid(affine(h1, view["w2"], view["b2"]))
-        safe = log(add(h2, 1.5))
-        grown = exp(mul(safe, view["scale"]))
-        denom = add(1.5, sigmoid(tsum(grown, axis=1, keepdims=True)))
-        ratio = div(grown, denom)
+        h2 = tanh(affine(h1, view["w2"], view["b2"]))
+        grown = exp(mul(h2, view["scale"]))
+        ratio = mul(grown, exp(neg(logsumexp(grown, axis=1, keepdims=True))))
         squashed = log_sigmoid(matmul(ratio, view["w3"]))
         picked = gather(view["table"], table_idx)
         flat = reshape(squashed, (-1,))

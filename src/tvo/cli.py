@@ -193,12 +193,12 @@ def cmd_check_identity(args) -> int:
         x, _ = model.sample_joint(params, 1, rng_stream(args.seed, 31))
         enum = enumerate_states(model, params, x[0])
         residual = ti_identity_check(enum.g, enum.log_evidence, args.grid)
-    elif args.model == "gaussian":
+    elif args.model in ("conjugate-gaussian", "gaussian"):
         model, params, x = random_conjugate_gaussian(args.seed)
         residual = ti_identity_check(lambda b: model.analytic_g(params, x, b),
                                      model.analytic_log_evidence(params, x), args.grid)
     else:
-        raise ConfigError("check-identity supports the oracle-capable models: toy, gaussian")
+        raise ConfigError("check-identity supports the oracle-capable models: toy, conjugate-gaussian")
     ok = residual < 1e-5
     print(f"ti-identity model={args.model} grid={args.grid} residual={residual!r} "
           f"{'PASS' if ok else 'FAIL'}")

@@ -19,11 +19,8 @@ from .util import softmax
 
 @dataclass
 class EnumerationResult:
-    """Exact quantities for one (model, params, x) triple over all 2^M states."""
+    """Exact log-densities of one observation over all 2^M latent states."""
 
-    model: ToyBernoulli
-    params: ParamVector
-    x: np.ndarray
     log_joint: np.ndarray   # (Z,)
     log_q: np.ndarray       # (Z,)
 
@@ -83,11 +80,12 @@ def enumerate_states(model: ToyBernoulli, params: ParamVector, x) -> Enumeration
     view = params.as_dict()
     lj = np.asarray(model.log_joint(view, x, z))[0]
     lq = np.asarray(model.log_q(view, x, z))[0]
-    return EnumerationResult(model, params, x, lj, lq)
+    return EnumerationResult(lj, lq)
 
 
 def exact_objective(model: ToyBernoulli, params, x, schedule, kind="tvo_lower") -> float:
-    """Exact objective value via enumeration: Riemann sums of the exact integrand."""
+    """Exact objective value via enumeration: Riemann sums of the exact integrand.
+    The ELBO and the EUBO are the tvo_lower and tvo_upper sums on K = 1."""
     enum = enumerate_states(model, params, x)
     betas = schedule.betas
     g = enum.g(betas)
@@ -96,10 +94,6 @@ def exact_objective(model: ToyBernoulli, params, x, schedule, kind="tvo_lower") 
         return float(widths @ g[:-1])
     if kind == "tvo_upper":
         return float(widths @ g[1:])
-    if kind == "elbo":
-        return float(g[0])
-    if kind == "eubo":
-        return float(g[-1])
     raise DomainError(f"unknown exact objective kind {kind!r}")
 
 

@@ -7,6 +7,7 @@ column is left empty so repeated runs are byte-identical.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import os
 import struct
@@ -315,18 +316,7 @@ def schedule_reads(kind, K, spacing) -> tuple[bool, bool]:
 # train loop
 
 
-@dataclass
-class MetricsRow:
-    iteration: int
-    objective: float
-    test_log_evidence: float = None
-    kl_gap: float = None
-    grad_std: float = None
-    wallclock_ms: float = None
-
-    def astuple(self):
-        return (self.iteration, self.objective, self.test_log_evidence,
-                self.kl_gap, self.grad_std, self.wallclock_ms)
+MetricsRow = collections.namedtuple("MetricsRow", METRICS_COLUMNS)
 
 
 @dataclass
@@ -417,11 +407,9 @@ def train(config: RunConfig, data: Dataset = None) -> TrainResult:
             # no out=: a rerun from the file writes where its --out says
             fh.writelines(f"{f}={getattr(config, f)}\n" for f in config.__dataclass_fields__ if f != "out")
         jsonl = config.format == "jsonl"
-        write_csv(os.path.join(config.out, "metrics.csv"), METRICS_COLUMNS,
-                  [row.astuple() for row in metrics], jsonl)
+        write_csv(os.path.join(config.out, "metrics.csv"), METRICS_COLUMNS, metrics, jsonl)
         if sleep_metrics:
-            write_csv(os.path.join(config.out, "metrics_sleep.csv"), METRICS_COLUMNS,
-                      [row.astuple() for row in sleep_metrics], jsonl)
+            write_csv(os.path.join(config.out, "metrics_sleep.csv"), METRICS_COLUMNS, sleep_metrics, jsonl)
         result.checkpoint_path = os.path.join(config.out, "checkpoint.tvom")
         save_checkpoint(result.checkpoint_path, params)
         if events:

@@ -20,6 +20,7 @@ def test_check_identity_posterior_matched_toy(capsys):
 def test_check_identity_random_instances_pass_at_default_grid():
     assert run(["check-identity", "--model", "toy", "--seed", "4"]) == 0
     assert run(["check-identity", "--model", "gaussian", "--seed", "4"]) == 0
+    assert run(["check-identity", "--model", "conjugate-gaussian", "--seed", "4"]) == 0
 
 
 def test_check_identity_coarse_grid_report_only(capsys):

@@ -209,6 +209,50 @@ def test_sbn_sample_joint_frequencies_match_enumerated_joint():
     assert stat < bound
 
 
+# exact judges on small SBNs: every (x, z) state enumerated
+
+_SMALL_SBNS = {"linear": (2, False), "nonlinear": (2, True), "3-layer": (3, False)}
+
+
+def _small_sbn(name):
+    """A d_x 4, d_z 3 SBN with its initial parameters doubled, and every
+    latent state as a (1, Z, layers, d_z) array in index_to_bits order."""
+    layers, nonlinear = _SMALL_SBNS[name]
+    model = SigmoidBeliefNet(d_x=4, d_z=3, layers=layers, nonlinear=nonlinear,
+                             x_mean=np.linspace(0.1, 0.9, 4))
+    params = model.init_params(3)
+    n_z = 2 ** (layers * 3)
+    zs = models.index_to_bits(np.arange(n_z), layers * 3).reshape(1, n_z, layers, 3)
+    return model, params.with_vector(2.0 * params.vector), zs
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_SBNS))
+def test_small_sbn_joint_and_proposal_normalize(name):
+    model, params, zs = _small_sbn(name)
+    xs = models.index_to_bits(np.arange(16), 4)
+    zs = np.broadcast_to(zs, (16,) + zs.shape[1:])
+    view = params.as_dict()
+    joint = np.exp(np.asarray(model.log_joint(view, xs, zs)))
+    q = np.exp(np.asarray(model.log_q(view, xs, zs)))
+    assert abs(joint.sum() - 1.0) <= 1e-12
+    np.testing.assert_allclose(q.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_SBNS))
+def test_small_sbn_sample_q_counts_match_enumerated_q(name):
+    """Pearson chi-square of S = 20,000 sample_q states of one x against
+    exp(log q) over every state, below dof + 5 sqrt(2 dof)."""
+    model, params, zs = _small_sbn(name)
+    view, x, S = params.as_dict(), np.array([[1.0, 0.0, 1.0, 1.0]]), 20_000
+    n_z = zs.shape[1]
+    z, _ = model.sample_q(view, x, _batch_noise(model, rng_stream(11, 5), 1, S))
+    counts = np.bincount(models.bits_to_index(z.reshape(S, -1)), minlength=n_z)
+    expected = S * np.exp(np.asarray(model.log_q(view, x, zs)))[0]
+    dof = n_z - 1
+    stat = np.sum((counts - expected) ** 2 / expected)
+    assert stat < dof + 5 * np.sqrt(2 * dof)
+
+
 def test_vae_log_densities_finite_for_sampled_latents():
     model = GaussianVAE(d_x=10, d_z=4)
     params = model.init_params(11)
