@@ -300,23 +300,20 @@ def bernoulli_logpmf(y, logits):
 
     A call of more than TILE elements runs in tiles of whole rows (one row
     per leading index), at most TILE elements each unless one row is
-    longer, into one preallocated output; broadcast logits on a tape are
-    the exception and stay one call. When the logits are a Var of the full
-    broadcast shape, each tile also writes y - sigmoid(t) into one
-    full-size array from the same exp(-|t|) as its tail, and the vjp
-    multiplies that array by g in place and returns it; broadcast logits
-    recompute the sigmoid in their vjp. Each element sees the same
-    operations and each row is summed on its own, so tiling changes no bit
-    of the value or the gradient.
+    longer, into one preallocated output. When the logits are a Var, the
+    forward also writes y - sigmoid(t) into one array of the broadcast
+    shape, from the same exp(-|t|) as its tail (logits smaller than the
+    broadcast take the sigmoid on their own shape, and the subtraction
+    broadcasts it); the vjp multiplies that array by g in place and reduces
+    it to the logits' shape. Each element sees the same operations and each
+    row is summed on its own, so tiling changes no bit of the value or the
+    gradient.
     """
     if isinstance(y, Var):
         raise UsageError("bernoulli_logpmf: y must be constant observations, not a Var")
     yv, tv = _as_array(y), value_of(logits)
     sign = 1.0 - 2.0 * yv  # turns t into the log-odds against the observed value
     shape = np.broadcast(sign, tv).shape
-    if isinstance(logits, Var) and tv.shape != shape:
-        return _node("bernoulli_logpmf", _bernoulli_rows(sign, tv), (logits, lambda g: _unbroadcast(
-            np.asarray(g)[..., None] * (yv - util.sigmoid(tv)), tv.shape)))
     dt = np.empty(shape) if isinstance(logits, Var) else None
     if math.prod(shape) <= TILE:
         out = _bernoulli_rows(sign, tv, yv, dt)
@@ -324,25 +321,26 @@ def bernoulli_logpmf(y, logits):
         out = np.empty(shape[:-1])
         _bernoulli_tiles(out, np.broadcast_to(sign, shape), np.broadcast_to(tv, shape),
                          np.broadcast_to(yv, shape), dt)
-    return _node("bernoulli_logpmf", out,
-                 (logits, lambda g: np.multiply(np.asarray(g)[..., None], dt, out=dt)))
+    return _node("bernoulli_logpmf", out, (logits, lambda g: _unbroadcast(
+        np.multiply(np.asarray(g)[..., None], dt, out=dt), tv.shape)))
 
 
 def _bernoulli_rows(sign, t, y=None, dt=None, out=None):
     """-sum(max(s, 0) + log1p(exp(-|s|)), axis=-1) with s = sign * t, into
-    `out` when given; sign is +-1, so broadcast logits give the tail. Given
-    `dt` (t of the full shape), also writes y - sigmoid(t) into it from the
-    same exp(-|s|) = exp(-|t|)."""
+    `out` when given; sign is +-1, so broadcast logits give the tail on
+    their own shape. Given `dt` (of the full shape), also writes
+    y - sigmoid(t) into it from the same exp(-|s|) = exp(-|t|)."""
     s = sign * t
-    e = np.abs(t if t.size < s.size else s)
+    small = t.size < s.size
+    e = np.abs(t if small else s)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    tail = np.log1p(e, out=e if dt is None else dt)
+    tail = np.log1p(e, out=e if dt is None else None if small else dt)
     np.maximum(s, 0.0, out=s)
     s += tail
     out = np.negative(np.sum(s, axis=-1, out=out), out=out)
-    if dt is not None:
-        np.subtract(y, util.sigmoid_of_tail(e, t, s), out=dt)
+    if dt is not None:  # the spent tail or s takes 1 + e
+        np.subtract(y, util.sigmoid_of_tail(e, t, tail if small else s), out=dt)
     return out
 
 

@@ -160,7 +160,7 @@ def cmd_sweep(args) -> int:
     rows, _ = sweep(config, args.beta1_list, args.K_list, args.S_list, _dataset(args, config))
     for row in rows:
         print("cell %03d beta1=%s K=%s S=%s -> %s logZ=%s" % (row[0], row[1], row[2], row[3], row[5], row[7]))
-    failed = sum(row[5].startswith("error") for row in rows)
+    failed = sum(row[5] != "ok" for row in rows)  # errors and aborted runs
     if failed:
         print(f"{failed} of {len(rows)} sweep cells failed", file=sys.stderr)
         return 1

@@ -17,16 +17,16 @@ class UsageError(TvoError):
     """API misuse (backward before forward, double backward, ...)."""
 
 
-class DegenerateWeightsError(TvoError):
-    """All importance weights are zero; the proposal does not cover the target."""
-
-
 class UnsupportedEstimatorError(TvoError):
     """Estimator requested outside its validity region (reparam on discrete q, ...)."""
 
 
 class NumericalError(TvoError):
     """Non-finite value where a finite one is required."""
+
+
+class DegenerateWeightsError(NumericalError):
+    """All importance weights are zero; the proposal does not cover the target."""
 
 
 class ConfigError(TvoError):

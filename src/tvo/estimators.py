@@ -26,6 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tape, backward, value_of
 from .errors import (DegenerateWeightsError, DomainError, NumericalError,
                      ShapeError, UnsupportedEstimatorError)
+from .oracles import enumerate_states
 from .path import PartitionSchedule
 from .util import rng_stream
 
@@ -80,8 +81,8 @@ def tempered_columns(log_w, betas) -> np.ndarray:
 class WeightTable:
     """Per-datum log weights plus their normalized tempered columns.
 
-    One shared sample batch underlies every column. `single` records whether
-    the caller passed one observation, so estimates squeeze back to scalars.
+    One shared sample batch underlies every column, and every estimate read
+    from a table is one value per item, (B,); one observation is B = 1.
 
     The zero-weight rule, kept by contract and deviations: a sample with
     log w = -inf has weight exactly 0 at every beta > 0 and adds exactly 0
@@ -95,7 +96,6 @@ class WeightTable:
     zs: object                 # model-specific latent batch, leading dims (B, S)
     x: np.ndarray              # (B, D_x)
     seed: int
-    single: bool = False
 
     @property
     def n_samples(self) -> int:
@@ -152,10 +152,6 @@ class WeightTable:
             dev[self.dead[0][:, None, :] & (self.betas[ks] > 0.0)[:, None]] = 0.0
         return dev
 
-    def squeeze(self, per_item):
-        per_item = np.asarray(per_item)
-        return float(per_item[0]) if self.single else per_item
-
 
 def score_blocks(model, view, x, S, seed, pathwise=False):
     """The one loop that turns proposal noise into scores: yields
@@ -193,13 +189,9 @@ def score_blocks(model, view, x, S, seed, pathwise=False):
 
 
 def iwae_estimate(log_w):
-    """log mean importance weight, log-sum-exp(log w) - log S."""
-    log_w = np.asarray(log_w, dtype=np.float64)
-    single = log_w.ndim == 1
-    if single:
-        log_w = log_w[None, :]
-    out = ad.logsumexp(log_w, axis=1) - np.log(log_w.shape[1])
-    return float(out[0]) if single else out
+    """log mean importance weight per item, logsumexp(log w) - log S; 1-D log w is one item."""
+    log_w = np.atleast_2d(np.asarray(log_w, dtype=np.float64))
+    return ad.logsumexp(log_w, axis=1) - np.log(log_w.shape[1])
 
 
 def table_blocks(model, params, x, S, seed, betas):
@@ -251,7 +243,7 @@ def _scored_table(model, params, view, x, S, schedule, seed):
         u = lj = lq = None
     betas = _as_beta_grid(schedule)
     table = WeightTable(betas, log_w, tempered_columns(log_w, betas), zs, np.atleast_2d(x),
-                        int(seed), single=x.ndim == 1)
+                        int(seed))
     return table, u, lj, lq
 
 
@@ -261,28 +253,21 @@ def exact_weight_table(model, params, x, schedule) -> WeightTable:
     Estimators consuming it compute exact expectations; sampling noise is
     zero.
     """
-    from .oracles import enumerate_states  # deferred: oracles imports nothing from here
-
     betas = _as_beta_grid(schedule)
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     enum = enumerate_states(model, params, x)
     norm_w = enum.path_weights(betas)[None, :, :]
     return WeightTable(betas=betas, log_w=enum.u[None, :], norm_w=norm_w,
-                       zs=model.all_states()[None, :], x=x, seed=0, single=single)
+                       zs=model.all_states()[None, :], x=x, seed=0)
 
 
 def expectation(table: WeightTable, beta_index, f_values):
-    """Self-normalized estimate sum_s w_s^beta f(z_s); scalar for single-x tables."""
+    """Self-normalized estimate sum_s w_s^beta f(z_s) per item; f_values is (B, S) like log_w."""
     f = np.asarray(f_values, dtype=np.float64)
-    if table.single and f.ndim == 1:
-        f = f[None, :]
     if f.shape != table.log_w.shape:
         raise ShapeError(f"f_values shape {f.shape} does not match table {table.log_w.shape}")
     table.column(beta_index)  # validates the index
-    return table.squeeze(table.contract(f, [beta_index])[:, 0])
+    return table.contract(f, [beta_index])[:, 0]
 
 
 @dataclass

@@ -59,8 +59,8 @@ class ObjectiveSpec:
 
 
 def elbo_estimate(table: WeightTable):
-    """Uniform average of U' over the proposal samples (the beta = 0 knot)."""
-    return table.squeeze(table.g[:, table.beta_index(0.0)])
+    """Uniform average of U' over the proposal samples (the beta = 0 knot), (B,)."""
+    return table.g[:, table.beta_index(0.0)]
 
 
 def eubo_estimate(table: WeightTable):
@@ -72,7 +72,7 @@ def eubo_estimate(table: WeightTable):
     if np.any(effective_sample_size(table.column(k), axis=1) < 2.0):
         warnings.warn("effective sample size below 2 in the posterior-end column",
                       DegenerateWeightsWarning, stacklevel=2)
-    return table.squeeze(table.g[:, k])
+    return table.g[:, k]
 
 
 def _check_knots(table: WeightTable, schedule: PartitionSchedule):
@@ -84,18 +84,18 @@ def _check_knots(table: WeightTable, schedule: PartitionSchedule):
 def tvo_lower(table: WeightTable, schedule: PartitionSchedule):
     """Left Riemann sum sum_k width_k g(beta_(k-1)); K = 1 is the ELBO exactly."""
     _check_knots(table, schedule)
-    return table.squeeze(table.g[:, :-1] @ schedule.widths)
+    return table.g[:, :-1] @ schedule.widths
 
 
 def tvo_upper(table: WeightTable, schedule: PartitionSchedule):
     """Right Riemann sum sum_k width_k g(beta_k); K = 1 is the EUBO exactly."""
     _check_knots(table, schedule)
-    return table.squeeze(table.g[:, 1:] @ schedule.widths)
+    return table.g[:, 1:] @ schedule.widths
 
 
 def objective_estimate(spec: ObjectiveSpec, table: WeightTable):
     if spec.kind == "iwae":
-        return table.squeeze(iwae_estimate(table.log_w))
+        return iwae_estimate(table.log_w)
     if spec.kind == "eubo":
         return eubo_estimate(table)
     return (tvo_lower if spec.maximize else tvo_upper)(table, spec.schedule)
@@ -154,7 +154,7 @@ def training_step(spec: ObjectiveSpec, model, params, x, seed, crn=True):
     tape = Tape()
     view = params.lift(tape)
     shared, u, lj, lq = _scored_table(model, params, view, x, spec.S, spec.schedule, seed)
-    value = float(np.mean(np.asarray(objective_estimate(spec, shared))))
+    value = float(np.mean(objective_estimate(spec, shared)))
     coeffs = _score_coefficients(shared, _riemann_terms(spec), value_of(u))
     per_item = _score_surrogate(zip(coeffs, (lj, lq, u)))
     return value, GradientEstimate(_finish(per_item, params, view, mask_prefixes=prefixes))
@@ -165,7 +165,7 @@ def _training_step_no_reuse(spec, model, params, x, seed, prefixes):
     batch, and each term's inner expectations (its baselines) come from
     further independent batches. Same estimator family, no sample sharing."""
     value_table = build_weight_table(model, params, x, spec.S, spec.schedule, seed)
-    value = float(np.mean(np.asarray(objective_estimate(spec, value_table))))
+    value = float(np.mean(objective_estimate(spec, value_table)))
     total = np.zeros(params.size)
     for i, (k, width) in enumerate(_riemann_terms(spec)):
         fresh_seed = int(rng_stream(seed, _STREAM_FRESH, i).integers(2 ** 31))

@@ -302,6 +302,11 @@ def _full_logit_cases():
         ("ragged_samples", (3, 1, 100), (3, 1000, 100)),  # 655 rows per tile, then 345
         ("long_rows", (3, tile + 5), (3, tile + 5)),      # a row longer than a tile
         ("one_long_row", (tile + 5,), (tile + 5,)),
+        # logits smaller than the broadcast
+        ("prior_row", (4, 6, 12), (12,)),
+        ("per_item_row", (24, 10, 200), (24, 1, 200)),
+        ("prior_row_tiled", (30, 30, 100), (100,)),
+        ("per_item_row_tiled", (5, 200, 784), (5, 1, 784)),
     ]
 
 
@@ -309,13 +314,14 @@ def _full_logit_cases():
                          ids=[c[0] for c in _full_logit_cases()])
 def test_taped_full_logits_are_bit_equal_to_the_untiled_value_and_gradient(y_shape, t_shape):
     # the reference is the one-pass value and the vjp every taped call used
-    # to take: g * (y - sigmoid(t)), with sigmoid recomputed over all of t
+    # to take: g * (y - sigmoid(t)), with sigmoid recomputed over all of t,
+    # reduced to the logits' shape
     rng = np.random.default_rng(35)
     y = (rng.random(y_shape) < 0.5).astype(np.float64)
     t = rng.normal(size=t_shape) * 4.0
     flat = t.reshape(-1)
     flat[rng.choice(flat.size, 6, replace=False)] = [np.inf, -np.inf, np.nan, np.inf, -np.inf, -np.nan]
-    g = rng.normal(size=t_shape[:-1])
+    g = rng.normal(size=np.broadcast_shapes(y_shape, t_shape)[:-1])
     tape = ad.Tape()
     leaf = tape.leaf(t)
     node = ad.bernoulli_logpmf(y, leaf)

@@ -266,6 +266,50 @@ def test_sweep_cli_exits_one_when_a_cell_fails(tmp_path, capsys):
     assert "1 of 2 sweep cells failed" in capsys.readouterr().err
 
 
+def test_sweep_cli_exits_one_when_cells_abort(tmp_path, capsys, monkeypatch):
+    import tvo.trainer as trainer_mod
+    from tvo import autodiff as ad
+
+    class Exploding(trainer_mod.ToyBernoulli):
+        def __init__(self):
+            super().__init__(m=2, d_x=2)
+            self.calls = 0
+
+        def log_joint(self, view, x, z):
+            out = super().log_joint(view, x, z)
+            self.calls += 1
+            return ad.add(out, np.nan) if self.calls > 6 else out
+
+    monkeypatch.setattr(trainer_mod, "build_model", lambda cfg, dat: Exploding())
+    args = ["--model", "toy", "--dataset", "synthetic-toy", "--d-x", "2", "--m-latent", "2",
+            "--S", "4", "--K", "2", "--iters", "10", "--batch", "4", "--seed", "2",
+            "--train-items", "16", "--test-items", "8"]
+    assert run(["train", *args]) == 1
+    assert "run aborted" in capsys.readouterr().out
+    code = run(["sweep", *args, "--beta1-list", "0.1,0.3", "--out", str(tmp_path / "sw")])
+    assert code == 1
+    table = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+    assert len(table) == 3
+    assert all(",aborted," in row for row in table[1:])
+    assert "2 of 2 sweep cells failed" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::tvo.errors.DegenerateWeightsWarning")
+def test_eval_of_a_checkpoint_reproduces_the_runs_own_evaluation(tmp_path, capsys):
+    # train and eval each derive the evaluation seed and items; they must agree
+    args = ["--model", "sbn", "--dataset", "synthetic-sbn", "--d-x", "16", "--d-z", "4",
+            "--iters", "30", "--eval-items", "20", "--eval-samples", "50", "--single-thread"]
+    out = tmp_path / "run"
+    assert run(["train", *args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["eval", *args, "--checkpoint", str(out / "checkpoint.tvom")]) == 0
+    metrics = {name: float(value) for name, value in
+               (line.split() for line in capsys.readouterr().out.strip().splitlines())}
+    last = np.genfromtxt(out / "metrics.csv", delimiter=",", names=True)[-1]
+    assert metrics["iwae"] == last["test_log_evidence"]
+    assert metrics["iwae"] - metrics["elbo"] == last["kl_gap"]
+
+
 TOY = ["--model", "toy", "--dataset", "synthetic-toy", "--d-x", "2", "--m-latent", "2"]
 
 

@@ -192,7 +192,7 @@ def test_zero_weight_samples_get_zero_covariance_coefficients():
     assert 0 < dead.sum() < 50
     log_w = table.log_w[:, ~dead]
     live = est.WeightTable(betas=betas, log_w=log_w, norm_w=est.tempered_columns(log_w, betas),
-                           zs=table.zs[:, ~dead], x=table.x, seed=0, single=True)
+                           zs=table.zs[:, ~dead], x=table.x, seed=0)
     assert live.dead is None
     for k in range(1, betas.size):
         got = est.covariance_gradient(model, params, None, table, k).vector
@@ -691,14 +691,14 @@ def test_expectation_of_constant_is_constant():
     model, params, x = toy_setup()
     table = est.build_weight_table(model, params, x, 16, np.array([0.0, 0.4, 1.0]), 3)
     for k in range(3):
-        assert est.expectation(table, k, np.full(16, 2.5)) == pytest.approx(2.5, abs=1e-12)
+        assert est.expectation(table, k, np.full((1, 16), 2.5)) == pytest.approx(2.5, abs=1e-12)
 
 
 def test_expectation_beta_zero_is_arithmetic_mean():
     model, params, x = toy_setup()
     table = est.build_weight_table(model, params, x, 10, np.array([0.0, 1.0]), 4)
     f = np.arange(10.0)
-    assert est.expectation(table, 0, f) == pytest.approx(f.mean(), rel=1e-14)
+    assert est.expectation(table, 0, f[None, :]) == pytest.approx(f.mean(), rel=1e-14)
 
 
 def test_expectation_length_mismatch_raises():
@@ -715,7 +715,7 @@ def test_expectation_converges_to_enumeration():
     f_states = rng.normal(size=model.n_z)
     table = est.build_weight_table(model, params, x, 10_000, np.array([0.0, 0.6, 1.0]), 6)
     f_samples = f_states[np.asarray(table.zs)[0]]
-    estimate = est.expectation(table, 1, f_samples)
+    estimate = est.expectation(table, 1, f_samples[None, :])
     exact = enum.expectation(0.6, f_states)
     wbar = table.column(1)[0]
     se = np.sqrt(np.sum(wbar ** 2 * (f_samples - estimate) ** 2))

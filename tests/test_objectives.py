@@ -170,10 +170,29 @@ def test_estimates_invariant_to_sample_permutation():
     perm = rng.permutation(64)
     shuffled = type(table)(betas=table.betas, log_w=table.log_w[:, perm],
                            norm_w=table.norm_w[:, :, perm], zs=np.asarray(table.zs)[:, perm],
-                           x=table.x, seed=table.seed, single=table.single)
+                           x=table.x, seed=table.seed)
     for fn in (obj.elbo_estimate, lambda t: obj.tvo_lower(t, sched),
                lambda t: obj.tvo_upper(t, sched), lambda t: obj.iwae_estimate(t.log_w)):
         assert fn(shuffled) == pytest.approx(fn(table), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::tvo.errors.DegenerateWeightsWarning")
+def test_every_estimate_of_one_item_is_one_value_per_item():
+    # a 1-D x, or a 1-D log w, is one item: every estimate returns (1,)
+    model, params = random_toy(18, m=3, d_x=1)
+    x = np.array([1.0])
+    sched = make_schedule(3)
+    for table in (build_weight_table(model, params, x, 64, sched.betas, 9),
+                  exact_weight_table(model, params, x, sched.betas)):
+        S = table.n_samples
+        estimates = [obj.elbo_estimate(table), obj.tvo_lower(table, sched),
+                     obj.tvo_upper(table, sched), obj.iwae_estimate(table.log_w),
+                     obj.iwae_estimate(table.log_w[0]), obj.eubo_estimate(table),
+                     est.expectation(table, 2, np.ones((1, S)))]
+        for kind in ("tvo_lower", "tvo_upper", "eubo", "iwae"):  # elbo needs the knots 0, 1
+            spec = obj.ObjectiveSpec(kind, sched if kind.startswith("tvo") else None, S=S)
+            estimates.append(obj.objective_estimate(spec, table))
+        assert all(np.shape(e) == (1,) for e in estimates)
 
 
 # iwae -------------------------------------------------------------------------

@@ -270,6 +270,31 @@ def test_train_aborts_on_nonfinite_objective():
     assert result.events and "non-finite" in result.events[0]
 
 
+def test_train_aborts_on_an_all_zero_weight_step_and_writes_its_files(tmp_path, monkeypatch):
+    class Vanishing(tr.ToyBernoulli):
+        def __init__(self):
+            super().__init__(m=2, d_x=2)
+            self.calls = 0
+
+        def log_joint(self, view, x, z):
+            out = super().log_joint(view, x, z)
+            self.calls += 1
+            return ad.add(out, -np.inf) if self.calls > 6 else out
+
+    out = tmp_path / "run"
+    config = tr.RunConfig(model="toy", objective="tvo_lower", dataset="synthetic-toy",
+                          d_x=2, m_latent=2, S=4, K=1, iters=50, batch=4, seed=0,
+                          train_items=16, test_items=8, eval_interval=100, out=str(out))
+    monkeypatch.setattr(tr, "build_model", lambda cfg, dat: Vanishing())
+    result = tr.train(config)
+    assert result.aborted
+    assert result.events and "all importance weights are zero" in result.events[0]
+    assert "aborting with last good parameters" in result.events[0]
+    for name in ("config.cfg", "metrics.csv", "checkpoint.tvom", "events.log"):
+        assert (out / name).exists(), name
+    assert (out / "events.log").read_text() == result.events[0] + "\n"
+
+
 def test_wake_sleep_produces_both_metric_streams(tmp_path):
     config = tr.RunConfig(model="toy", objective="wake_sleep", dataset="synthetic-toy",
                           d_x=2, m_latent=2, S=6, iters=20, batch=6, seed=2,
