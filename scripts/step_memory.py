@@ -4,14 +4,18 @@
     PYTHONPATH=src python3 scripts/step_memory.py --config full --batch 24 --steps 120
 
 Trains one configuration with Adam in this process and prints, per training
-step (training_step plus adam_step), its wall time, the resident set read from
-/proc/self/statm afterwards and the minor page faults (getrusage ru_minflt)
-it took. Every 10th step and the last one are followed by one evaluate and
-one integrand curve, each printed the same way. The last line is a JSON
+step (training_step plus adam_step), its wall time, the CPU time of the
+process during it (time.process_time, every thread included), the resident
+set read from /proc/self/statm afterwards and the minor page faults
+(getrusage ru_minflt) it took. Every 10th step and the last one are followed
+by one evaluate and one integrand curve, each printed the same way. CPU ms
+over wall ms shows how busy the second lane was: about 1 for a serial call,
+up to `lanes` when both lanes work throughout. The last line is a JSON
 summary: the time and tracemalloc peak of the synthetic data draw
-(synth_ms, synth_peak_mb); per kind of call, the median ms and the mean
-faults (faults come in bursts) over the calls after the first, which pays
-one-off set-up; and the largest resident sets.
+(synth_ms, synth_peak_mb); the lane count (tvo.util.LANES); per kind of
+call, the median ms and CPU ms and the mean faults (faults come in bursts)
+over the calls after the first, which pays one-off set-up; and the largest
+resident sets.
 
 Configurations (S = 10, every Riemann objective tvo_lower at beta1 = 0.3 on a
 log grid):
@@ -35,7 +39,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from tvo import models, objectives, path, trainer  # noqa: E402
+from tvo import models, objectives, path, trainer, util  # noqa: E402
 
 EVERY = 10          # training steps between evaluate/curve calls
 GRID = 51           # knots of the integrand-curve grid
@@ -59,11 +63,17 @@ def minflt():
 
 
 def measured(fn):
-    """(fn(), ms, resident MB afterwards, minor faults during the call)."""
-    f0, t0 = minflt(), time.perf_counter()
+    """(fn(), ms, process CPU ms, resident MB afterwards, minor faults during the call)."""
+    f0, c0, t0 = minflt(), time.process_time(), time.perf_counter()
     out = fn()
     ms = (time.perf_counter() - t0) * 1e3
-    return out, ms, rss_mb(), minflt() - f0
+    cpu_ms = (time.process_time() - c0) * 1e3
+    return out, ms, cpu_ms, rss_mb(), minflt() - f0
+
+
+def line(ms, cpu_ms, rss, flt):
+    """One call's printed figures, in the order of the header line."""
+    return f"{ms:.3f} {cpu_ms:.3f} {rss:.1f} {flt}"
 
 
 def dataset(name, batch):
@@ -111,7 +121,7 @@ def main():
     steps, calls = [], {"evaluate": [], "curve": []}
     print(f"# config {args.config}, batch {args.batch}, {params.size} parameters, "
           f"resident {rss_mb():.1f} MB before the first step")
-    print("# call step ms rss_mb minflt")
+    print("# call step ms cpu_ms rss_mb minflt")
     for it in range(args.steps):
         x = data.train[(it * args.batch + np.arange(args.batch)) % n]
 
@@ -119,25 +129,26 @@ def main():
             _, grad = objectives.training_step(spec, model, params, x, seed=it)
             return trainer.adam_step(state, params, grad.vector, maximize=spec.maximize)
 
-        params, ms, rss, flt = measured(step)
-        steps.append((ms, rss, flt))
-        print(f"step {it + 1} {ms:.3f} {rss:.1f} {flt}")
+        params, *row = measured(step)
+        steps.append(row)
+        print(f"step {it + 1} " + line(*row))
         if (it + 1) % EVERY == 0 or it + 1 == args.steps:
             for name, fn in (("evaluate", lambda: trainer.evaluate(model, params, items, eval_S, 0)),
                              ("curve", lambda: path.integrand_curve(model, params, curve_items,
                                                                     grid, eval_S, 0))):
-                _, ms, rss, flt = measured(fn)
-                calls[name].append((ms, rss, flt))
-                print(f"{name} {it + 1} {ms:.3f} {rss:.1f} {flt}")
+                _, *row = measured(fn)
+                calls[name].append(row)
+                print(f"{name} {it + 1} " + line(*row))
 
     summary = {"config": args.config, "batch": args.batch, "steps": args.steps,
-               "synth_ms": synth_ms, "synth_peak_mb": synth_peak_mb}
+               "synth_ms": synth_ms, "synth_peak_mb": synth_peak_mb, "lanes": util.LANES}
     for name, rows in (("step", steps), *calls.items()):
         timed = rows[1:] or rows
         summary[f"{name}_ms_p50"] = statistics.median(r[0] for r in timed)
-        summary[f"{name}_minflt_mean"] = statistics.mean(r[2] for r in timed)
-    summary["rss_mb_last"] = steps[-1][1]
-    summary["rss_mb_max"] = max(r[1] for rows in (steps, *calls.values()) for r in rows)
+        summary[f"{name}_cpu_ms_p50"] = statistics.median(r[1] for r in timed)
+        summary[f"{name}_minflt_mean"] = statistics.mean(r[3] for r in timed)
+    summary["rss_mb_last"] = steps[-1][2]
+    summary["rss_mb_max"] = max(r[2] for rows in (steps, *calls.values()) for r in rows)
     summary["maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps(summary))
     return 0

@@ -362,11 +362,7 @@ def _bernoulli_tiles(out, sign, t, y, dt):
 
 def logsumexp(a, axis=None, keepdims=False):
     av = value_of(a)
-    m = np.max(av, axis=axis, keepdims=True)
-    m_safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):  # log(0) on an all -inf row, which out_k replaces by m
-        total = np.sum(np.exp(av - m_safe), axis=axis, keepdims=True)
-        out_k = np.where(np.isfinite(m), m_safe + np.log(total), m)
+    out_k = util.logsumexp(av, axis)
     out = out_k if keepdims else (np.squeeze(out_k, axis=axis) if axis is not None else out_k.reshape(()))
 
     def vjp(g):  # g times the softmax of a; exp(-inf - finite) = 0 where a = -inf

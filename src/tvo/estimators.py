@@ -22,7 +22,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from . import autodiff as ad
+from . import autodiff as ad, util
 from .autodiff import Tape, backward, value_of
 from .errors import (DegenerateWeightsError, DomainError, NumericalError,
                      ShapeError, UnsupportedEstimatorError)
@@ -41,6 +41,10 @@ _STREAM_SIMULATE = 109
 # per-sample hidden layer (d_z for the SBN and the VAE), so none of its
 # (samples, w) activations exceeds one TILE and each stays cache-sized
 BLOCK = 1024
+# with two lanes, two blocks are scored at once when a block's (samples, d_x)
+# array holds PAIR elements or more; a smaller one (a desk block) spends most
+# of its time in Python under the GIL, which the lanes would only pass to and fro
+PAIR = 2 * ad.TILE
 
 
 def _as_beta_grid(schedule) -> np.ndarray:
@@ -159,39 +163,51 @@ def score_blocks(model, view, x, S, seed, pathwise=False):
 
     A lifted view is scored as one block on its tape, so a training step
     differentiates the very forward pass that produced its weights, and the
-    scores are Vars; a plain view is scored as plain arrays in blocks of
-    max(1, min(BLOCK, TILE // w) // S) items (w as at BLOCK). Each block's
-    noise (model.noise_blocks) is a fresh array drawn just before the block
-    is scored, so a consumer that drops z holds one block's latents, whatever
-    items x S. Noise becomes (z, log q) through model.sample_q, or, when
-    `pathwise`, through model.reparam_sample, whose z is taped as well. A
-    block holding a row whose weights are all zero raises
-    DegenerateWeightsError: the proposal missed the joint's support entirely.
+    scores are Vars. A plain view is scored as plain arrays in blocks of
+    max(1, min(BLOCK, TILE // w) // S) items (w as at BLOCK), in pairs when
+    there are two lanes (util.LANES) and blocks are large enough (PAIR): the
+    second lane scores the second block of a pair while the caller scores
+    the first. The caller draws each block's fresh noise (model.noise_blocks)
+    in stream order and blocks come out in order, so the scores are
+    bit-identical on one lane or two; a consumer that drops z holds at most
+    two blocks' latents. Noise becomes (z, log q) through model.sample_q,
+    or, when `pathwise`, through model.reparam_sample, whose z is taped as
+    well. A row whose weights are all zero raises
+    DegenerateWeightsError, in block order: q missed the joint's support.
     """
     if S < 1:
         raise DomainError(f"need at least one sample, got S={S}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[0] == 0:
         raise ShapeError("need at least one item to score")
     taped = any(isinstance(v, ad.Var) for v in view.values())
     step = x.shape[0] if taped else max(1, min(BLOCK, ad.TILE // getattr(model, "d_z", 1)) // S)
-    rng = rng_stream(seed, _STREAM_SAMPLES)
     sample = model.reparam_sample if pathwise else model.sample_q
-    for items, noise in model.noise_blocks(rng, x.shape[0], S, step):
+    pair = not taped and util.LANES > 1 and step * S * x.shape[1] >= PAIR
+
+    def score(items, noise):
         z, lq = sample(view, x[items], noise)
         lj = model.log_joint(view, x[items], z)
         u = ad.sub(lj, lq)
         if np.any(np.all(value_of(u) == -np.inf, axis=1)):
             raise DegenerateWeightsError("all importance weights are zero for some observation")
-        yield items, z, u, lj, lq
+        return items, z, u, lj, lq
+
+    blocks = model.noise_blocks(rng_stream(seed, _STREAM_SAMPLES), x.shape[0], S, step)
+    for first in blocks:
+        second = next(blocks, None) if pair else None
+        if second is None:
+            yield score(*first)
+            continue
+        with util.on_second_lane(score, *second) as other:
+            yield score(*first)
+        yield other.result()
 
 
 def iwae_estimate(log_w):
     """log mean importance weight per item, logsumexp(log w) - log S; 1-D log w is one item."""
     log_w = np.atleast_2d(np.asarray(log_w, dtype=np.float64))
-    return ad.logsumexp(log_w, axis=1) - np.log(log_w.shape[1])
+    return util.logsumexp(log_w, axis=1)[:, 0] - np.log(log_w.shape[1])
 
 
 def table_blocks(model, params, x, S, seed, betas):

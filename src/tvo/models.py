@@ -462,7 +462,8 @@ class SigmoidBeliefNet(LatentModel):
         for ell in range(self.layers - 1, 0, -1):
             logits = self._apply_map(view, f"theta/dec{ell}", 2.0 * z[:, :, ell, :] - 1.0)
             total = ad.add(total, ad.bernoulli_logpmf(z[:, :, ell - 1, :], logits))
-        logits_x = ad.add(self._apply_map(view, "theta/decx", 2.0 * z[:, :, 0, :] - 1.0), self.x_bias)
+        t = self._apply_map(view, "theta/decx", 2.0 * z[:, :, 0, :] - 1.0)  # tape-free: bias added in place
+        logits_x = ad.add(t, self.x_bias) if isinstance(t, ad.Var) else np.add(t, self.x_bias, out=t)
         return ad.add(total, ad.bernoulli_logpmf(x[:, None, :], logits_x))
 
     def _q_pass(self, view, x, z, draw):

@@ -130,9 +130,7 @@ def training_step(spec: ObjectiveSpec, model, params, x, seed, crn=True):
     Model-simulated mode replaces x by ancestral draws from the generative
     model and freezes theta.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if spec.data_source == "model_simulated":
         rng = rng_stream(seed, _STREAM_SIMULATE)
         x, _ = model.sample_joint(params, x.shape[0], rng)

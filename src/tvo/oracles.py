@@ -71,9 +71,7 @@ def enumerate_states(model: ToyBernoulli, params: ParamVector, x) -> Enumeration
     """Exact enumeration over all latent states for one observation."""
     if model.m > 12:
         raise DomainError("enumeration is guarded at M <= 12 states")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[0] != 1:
         raise DomainError("enumeration works one observation at a time")
     z = model.all_states()[None, :]

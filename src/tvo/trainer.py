@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import util
 from .autodiff import TILE, ParamVector
 from .errors import ConfigError, DomainError, FormatError, NumericalError, TvoError
 from .estimators import gradient_std_diagnostic, iwae_estimate, table_blocks
@@ -54,17 +55,17 @@ class AdamState:
 def adam_step(state: AdamState, params: ParamVector, gradient, maximize=False) -> ParamVector:
     """Bias-corrected Adam update; `maximize` ascends instead of descending.
 
-    A non-finite gradient aborts the step: the event is counted and the
-    parameters come back unchanged.
-
-    m and v are updated in place and the result is written into one new
-    vector, slice by slice, TILE elements at a time, with one TILE-sized
-    scratch array for the other temporaries, so each slice stays in cache
-    across the update's 14 passes. The operations run in the order of the
-    textbook form m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
-    x - lr m_hat / (sqrt(v_hat) + eps) and are elementwise, so every update
-    is bit-identical to it, tiled or not. Ascent scales g by -(1 - b1),
-    exactly -((1 - b1) g); v is even in g.
+    A non-finite gradient aborts the step before any tile updates: the event
+    is counted and the parameters come back unchanged. m and v are updated
+    in place and the result written into one new vector, TILE elements at a
+    time with a TILE-sized scratch array, so each slice stays in cache across
+    the update's 14 passes; with two lanes (util.LANES) the caller and the
+    second lane each update one contiguous half of the tiles, each with its
+    own scratch. The operations run in the order of the textbook form
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, x - lr m_hat /
+    (sqrt(v_hat) + eps) and are elementwise, so every update is bit-identical
+    to it, tiled, split or not. Ascent scales g by -(1 - b1), exactly
+    -((1 - b1) g); v is even in g.
     """
     gradient = np.asarray(gradient, dtype=np.float64)
     if gradient.shape != params.vector.shape:
@@ -77,25 +78,35 @@ def adam_step(state: AdamState, params: ParamVector, gradient, maximize=False) -
     g_scale = -(1.0 - b1) if maximize else 1.0 - b1
     c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
     out = np.empty_like(params.vector)
-    scratch = np.empty(min(TILE, out.size))
-    for lo in range(0, out.size, TILE):
-        part = slice(lo, lo + TILE)
-        g, m, v, o = gradient[part], state.m[part], state.v[part], out[part]
-        s = scratch[:g.size]
-        np.multiply(g, g_scale, out=s)
-        m *= b1
-        m += s
-        np.multiply(g, 1.0 - b2, out=s)
-        s *= g
-        v *= b2
-        v += s
-        np.divide(v, c2, out=s)  # v_hat
-        np.sqrt(s, out=s)
-        s += state.eps
-        np.divide(m, c1, out=o)  # m_hat
-        o *= state.lr
-        o /= s
-        np.subtract(params.vector[part], o, out=o)
+
+    def update(lo, hi):
+        scratch = np.empty(min(TILE, hi - lo))
+        for start in range(lo, hi, TILE):
+            part = slice(start, start + TILE)  # the caller's half ends on a whole tile
+            g, m, v, o = gradient[part], state.m[part], state.v[part], out[part]
+            s = scratch[:g.size]
+            np.multiply(g, g_scale, out=s)
+            m *= b1
+            m += s
+            np.multiply(g, 1.0 - b2, out=s)
+            s *= g
+            v *= b2
+            v += s
+            np.divide(v, c2, out=s)  # v_hat
+            np.sqrt(s, out=s)
+            s += state.eps
+            np.divide(m, c1, out=o)  # m_hat
+            o *= state.lr
+            o /= s
+            np.subtract(params.vector[part], o, out=o)
+
+    cut = (-(-out.size // TILE) + 1) // 2 * TILE  # the first half of the tiles, rounded up
+    if util.LANES < 2 or cut >= out.size:
+        update(0, out.size)
+    else:
+        with util.on_second_lane(update, cut, out.size) as other:
+            update(0, cut)
+        other.result()
     return params.with_vector(out)
 
 
@@ -372,7 +383,7 @@ def train(config: RunConfig, data: Dataset = None) -> TrainResult:
         take = (it * config.batch + np.arange(config.batch)) % n
         x_batch = data.train[take]
         values = []
-        try:
+        try:  # an evaluation row is under the same abort policy as the steps
             for which, spec in enumerate(specs):
                 value, grad = training_step(
                     spec, model, params, x_batch,
@@ -382,21 +393,23 @@ def train(config: RunConfig, data: Dataset = None) -> TrainResult:
                     raise NumericalError(f"objective became non-finite at iteration {it}")
                 params = adam_step(states[which], params, grad.vector, maximize=spec.maximize)
                 values.append(value)
+            if (it + 1) % eval_interval == 0 or it + 1 == config.iters:
+                iwae, elbo = evaluate(model, params, eval_items, config.eval_samples,
+                                      seed=int(rng_stream(config.seed, 5).integers(2 ** 31)))
+                wall = None if config.single_thread else (time.perf_counter() - t0) * 1e3
+                every = config.grad_std_every
+                grad_std = None if not every or (it + 1) % every else gradient_std_diagnostic(
+                    lambda rep: training_step(specs[0], model, params, x_batch, rep, crn=config.crn)[1],
+                    repetitions=10, seed=int(rng_stream(config.seed, 9, it).integers(2 ** 31)))
+                metrics.append(MetricsRow(it + 1, values[0], iwae, iwae - elbo, grad_std, wall))
+                if len(specs) > 1:
+                    sleep_metrics.append(MetricsRow(it + 1, values[1], iwae, iwae - elbo, None, wall))
         except NumericalError as exc:
             events.append(f"iteration {it}: {exc}; aborting with last good parameters")
             params = last_good
             aborted = True
             break
         last_good = params
-
-        if (it + 1) % eval_interval == 0 or it + 1 == config.iters:
-            iwae, elbo = evaluate(model, params, eval_items, config.eval_samples,
-                                  seed=int(rng_stream(config.seed, 5).integers(2 ** 31)))
-            wall = None if config.single_thread else (time.perf_counter() - t0) * 1e3
-            grad_std = _maybe_grad_std(config, specs[0], model, params, x_batch, it)
-            metrics.append(MetricsRow(it + 1, values[0], iwae, iwae - elbo, grad_std, wall))
-            if len(specs) > 1:
-                sleep_metrics.append(MetricsRow(it + 1, values[1], iwae, iwae - elbo, None, wall))
 
     result = TrainResult(params=params, metrics=metrics, sleep_metrics=sleep_metrics,
                          aborted=aborted, events=events, model=model, dataset=data,
@@ -416,17 +429,6 @@ def train(config: RunConfig, data: Dataset = None) -> TrainResult:
             with open(os.path.join(config.out, "events.log"), "w") as fh:
                 fh.write("\n".join(events) + "\n")
     return result
-
-
-def _maybe_grad_std(config, spec, model, params, x_batch, it):
-    if not config.grad_std_every or (it + 1) % config.grad_std_every:
-        return None
-
-    def estimator(rep_seed):
-        return training_step(spec, model, params, x_batch, rep_seed, crn=config.crn)[1]
-
-    return gradient_std_diagnostic(estimator, repetitions=10,
-                                   seed=int(rng_stream(config.seed, 9, it).integers(2 ** 31)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,32 @@
-"""Small numpy helpers, deterministic RNG stream derivation and the run-table writer."""
+"""Small numpy helpers, deterministic RNG stream derivation, the second lane and the run-table writer."""
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import json
 import os
+from concurrent import futures
 
 import numpy as np
+
+# The caller and at most one helper thread, the second lane, share data-parallel work (numpy
+# and BLAS release the GIL in kernels). A constant: `taskset -c 0` runs serially; BLAS is untouched.
+LANES = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+_helper = []  # the lane's one-thread executor, made on first use; a forked child has none
+os.register_at_fork(after_in_child=_helper.clear)
+
+
+@contextlib.contextmanager
+def on_second_lane(fn, *args):
+    """Runs fn(*args) on the second lane, in a copy of the caller's context (np.errstate too),
+    while the body runs; yields its Future and awaits it on exit, even on error or close."""
+    if not _helper:
+        _helper.append(futures.ThreadPoolExecutor(1, thread_name_prefix="tvo-lane"))
+    job = _helper[0].submit(contextvars.copy_context().run, fn, *args)
+    try:
+        yield job
+    finally:
+        futures.wait([job])
 
 
 def rng_stream(seed, *stream) -> np.random.Generator:
@@ -48,6 +70,15 @@ def sigmoid_of_tail(e, v, den):
     np.add(e, 1.0, out=den)
     np.maximum(e, v >= 0, out=e)
     return np.divide(e, den, out=e)
+
+
+def logsumexp(v, axis=None):
+    """log sum exp(v) over `axis`, kept at length 1; a slice with no finite maximum gives it."""
+    m = np.max(v, axis=axis, keepdims=True)
+    finite = np.isfinite(m)
+    shift = np.where(finite, m, 0.0)
+    with np.errstate(divide="ignore"):  # log 0 on an all -inf slice, which keeps m
+        return np.where(finite, shift + np.log(np.sum(np.exp(v - shift), axis=axis, keepdims=True)), m)
 
 
 def log_sigmoid(v):

@@ -1,4 +1,6 @@
 import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mc_mean_se
+from conftest import each_lane_count, force_lanes, mc_mean_se
 from tvo import autodiff as ad
 from tvo import estimators as est
 from tvo import oracles
@@ -276,17 +278,18 @@ def _binary_items(n, d_x, seed=0):
     (SigmoidBeliefNet(d_x=16, d_z=5, nonlinear=True), 1e-15),
     (GaussianVAE(d_x=16, d_z=3), 1e-15),
 ], ids=["linear-sbn", "nonlinear-sbn", "vae"])
-def test_blocked_table_matches_one_block_reference(model, rtol):
+def test_blocked_table_matches_one_block_reference(model, rtol, monkeypatch):
     params = model.init_params(3)
     x = _binary_items(6, 16)
     assert est.BLOCK // BLOCKED_S < x.shape[0]
-    got = est.build_weight_table(model, params, x, BLOCKED_S, np.array([0.0, 0.4, 1.0]), 9)
-    # the whole batch scored at once is the reference
-    want = ad.value_of(est._instantaneous_bound(model, params.as_dict(), x, got.zs)[0])
-    if rtol == 0.0:
-        np.testing.assert_array_equal(got.log_w, want)
-    else:
-        np.testing.assert_allclose(got.log_w, want, rtol=rtol, atol=0.0)
+    for _ in each_lane_count(monkeypatch):
+        got = est.build_weight_table(model, params, x, BLOCKED_S, np.array([0.0, 0.4, 1.0]), 9)
+        # the whole batch scored at once is the reference
+        want = ad.value_of(est._instantaneous_bound(model, params.as_dict(), x, got.zs)[0])
+        if rtol == 0.0:
+            np.testing.assert_array_equal(got.log_w, want)
+        else:
+            np.testing.assert_allclose(got.log_w, want, rtol=rtol, atol=0.0)
 
 
 def _sbn_draw(model, rng, B, S):
@@ -345,15 +348,17 @@ def test_sbn_one_block_noise_equals_the_multi_block_draws(layers):
 def test_multi_block_table_matches_the_one_block_draw(monkeypatch):
     # each block's noise is drawn fresh when the block is reached, yet in the
     # whole batch's stream order, so thresholding it per item block gives the
-    # one-block table's zs and log_w bit for bit
+    # one-block table's zs and log_w bit for bit, on one lane or two
     model = SigmoidBeliefNet(d_x=16, d_z=5)
     params = model.init_params(3)
     x = _binary_items(6, 16)
-    blocked = est.build_weight_table(model, params, x, BLOCKED_S, [0.0, 1.0], 9)
+    blocked = [est.build_weight_table(model, params, x, BLOCKED_S, [0.0, 1.0], 9)
+               for _ in each_lane_count(monkeypatch)]
     monkeypatch.setattr(est, "BLOCK", BLOCKED_S * x.shape[0])
     whole = est.build_weight_table(model, params, x, BLOCKED_S, [0.0, 1.0], 9)
-    np.testing.assert_array_equal(blocked.zs, whole.zs)
-    np.testing.assert_array_equal(blocked.log_w, whole.log_w)
+    for table in blocked:
+        np.testing.assert_array_equal(table.zs, whole.zs)
+        np.testing.assert_array_equal(table.log_w, whole.log_w)
 
 
 @pytest.mark.parametrize("B,S", [(7, BLOCKED_S), (3, est.BLOCK + 76)],
@@ -427,31 +432,34 @@ def _streamed_case(name):
 STREAMED = ["nonlinear-sbn", "vae", "zero-weight-toy"]
 
 
+# each against the whole table built serially: the second lane changes no bit
 @pytest.mark.parametrize("name", STREAMED)
-def test_streamed_evaluate_matches_the_whole_table(name):
+def test_streamed_evaluate_matches_the_whole_table(name, monkeypatch, serial):
     from tvo.objectives import elbo_estimate, iwae_estimate
     from tvo.trainer import evaluate
 
     model, params, x, _ = _streamed_case(name)
-    table = est.build_weight_table(model, params, x, BLOCKED_S, np.array([0.0, 1.0]), 21)
+    table = serial(lambda: est.build_weight_table(model, params, x, BLOCKED_S, np.array([0.0, 1.0]), 21))
     want = (float(np.mean(iwae_estimate(table.log_w))), float(np.mean(elbo_estimate(table))))
-    assert evaluate(model, params, x, BLOCKED_S, 21) == want
+    for _ in each_lane_count(monkeypatch):
+        assert evaluate(model, params, x, BLOCKED_S, 21) == want
 
 
 @pytest.mark.parametrize("name", STREAMED)
-def test_streamed_curve_matches_the_whole_table(name):
+def test_streamed_curve_matches_the_whole_table(name, monkeypatch, serial):
     model, params, x, grid = _streamed_case(name)
-    table = est.build_weight_table(model, params, x, BLOCKED_S, grid, 21)
+    table = serial(lambda: est.build_weight_table(model, params, x, BLOCKED_S, grid, 21))
     values = np.ascontiguousarray(table.g.T).mean(axis=1)
     var_hat = np.sum(table.norm_w ** 2 * table.deviations(table.log_w, table.g) ** 2, axis=2)
-    curve = integrand_curve(model, params, x, grid, BLOCKED_S, 21)
-    np.testing.assert_array_equal(curve.values, values)
-    np.testing.assert_array_equal(curve.std_errors, np.sqrt(var_hat.sum(axis=0)) / x.shape[0])
-    assert np.all(np.isfinite(curve.std_errors))
+    for _ in each_lane_count(monkeypatch):
+        curve = integrand_curve(model, params, x, grid, BLOCKED_S, 21)
+        np.testing.assert_array_equal(curve.values, values)
+        np.testing.assert_array_equal(curve.std_errors, np.sqrt(var_hat.sum(axis=0)) / x.shape[0])
+        assert np.all(np.isfinite(curve.std_errors))
 
 
 @pytest.mark.parametrize("name", STREAMED)
-def test_streamed_tvo_eval_matches_the_whole_table(monkeypatch, capsys, name):
+def test_streamed_tvo_eval_matches_the_whole_table(monkeypatch, capsys, tmp_path, name, serial):
     from tvo import cli
     from tvo.objectives import (elbo_estimate, eubo_estimate, iwae_estimate, tvo_lower,
                                 tvo_upper)
@@ -464,17 +472,22 @@ def test_streamed_tvo_eval_matches_the_whole_table(monkeypatch, capsys, name):
     monkeypatch.setattr(est, "score_blocks", lambda *args: scored.append(args) or score_blocks(*args))
     dataset = ["--dataset", "synthetic-toy", "--d-x", "1", "--m-latent", "2"] \
         if name == "zero-weight-toy" else ["--model", "sbn", "--dataset", "synthetic-sbn", "--d-x", "16"]
-    assert cli.main(["eval", *dataset, "--eval-items", "5", "--eval-samples", str(BLOCKED_S),
-                     "--K", "3", "--seed", "4"]) == 0
-    printed = dict(line.split() for line in capsys.readouterr().out.strip().splitlines())
-    (_, _, items, S, seed), = scored
-    assert items.shape[0] * S > est.BLOCK
     schedule = make_schedule(3, 0.3, "log")
-    table = est.build_weight_table(model, params, items, S, schedule, seed)
-    want = {"elbo": elbo_estimate(table), "eubo": eubo_estimate(table),
-            "iwae": iwae_estimate(table.log_w), "tvo_lower": tvo_lower(table, schedule),
-            "tvo_upper": tvo_upper(table, schedule)}
-    assert {k: float(v) for k, v in printed.items()} == {k: float(np.mean(v)) for k, v in want.items()}
+    for lanes in each_lane_count(monkeypatch):
+        scored.clear()
+        out = tmp_path / str(lanes)
+        assert cli.main(["eval", *dataset, "--eval-items", "5", "--eval-samples", str(BLOCKED_S),
+                         "--K", "3", "--seed", "4", "--out", str(out)]) == 0
+        printed = dict(line.split() for line in capsys.readouterr().out.strip().splitlines())
+        (_, _, items, S, seed), = scored
+        assert items.shape[0] * S > est.BLOCK
+        table = serial(lambda: est.build_weight_table(model, params, items, S, schedule, seed))
+        want = {"elbo": elbo_estimate(table), "eubo": eubo_estimate(table),
+                "iwae": iwae_estimate(table.log_w), "tvo_lower": tvo_lower(table, schedule),
+                "tvo_upper": tvo_upper(table, schedule)}
+        assert {k: float(v) for k, v in printed.items()} == {k: float(np.mean(v)) for k, v in want.items()}
+        assert (out / "eval.csv").read_text() == "metric,value\n" + "".join(
+            f"{k},{float(np.mean(v))!r}\n" for k, v in want.items())
 
 
 def test_a_non_finite_curve_is_a_numerical_failure(monkeypatch, capsys, tmp_path):
@@ -541,6 +554,27 @@ def test_streamed_consumers_raise_on_a_degenerate_block(capsys, monkeypatch):
     assert cli.main(["eval", "--model", "sbn", "--dataset", "synthetic-sbn", "--d-x", "16",
                      "--eval-samples", str(BLOCKED_S)]) == 1
     assert "all importance weights are zero" in capsys.readouterr().err
+
+
+def test_closing_score_blocks_early_waits_for_the_second_lane(monkeypatch):
+    # the second lane is still scoring block 1 when the caller's block 0 is
+    # taken and the generator closed; closing waits for it, so no work
+    # outlives the call
+    force_lanes(monkeypatch, 2)
+    finished = []
+
+    class SlowHelper(ToyBernoulli):
+        def log_joint(self, view, x, z):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.2)
+                finished.append(x.shape[0])
+            return super().log_joint(view, x, z)
+
+    model = SlowHelper(m=2, d_x=1)
+    blocks = est.score_blocks(model, model.init_params(0).as_dict(), np.zeros((8, 1)), 500, 0)
+    assert next(blocks)[0] == slice(0, 2)
+    blocks.close()
+    assert finished == [2]
 
 
 def test_streamed_evaluate_holds_one_block_of_latents():

@@ -1,13 +1,16 @@
+import itertools
 import struct
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import each_lane_count, force_lanes
 from tvo import autodiff as ad
 from tvo import trainer as tr
 from tvo.autodiff import TILE, ParamVector
-from tvo.errors import ConfigError, FormatError
+from tvo.errors import ConfigError, DegenerateWeightsError, FormatError
 from tvo.estimators import build_weight_table
 from tvo.objectives import iwae_estimate
 
@@ -61,27 +64,29 @@ def _bits(a):
 
 
 @pytest.mark.parametrize("maximize", [False, True])
-def test_adam_matches_the_closed_form_bit_for_bit(maximize):
-    rng = np.random.default_rng(8)
-    for n in (64, 3 * TILE + 17):  # one partial tile; three whole tiles and a ragged one
-        params = ParamVector.build({"a": rng.normal(size=n)})
-        state = tr.AdamState.for_params(params, lr=0.01)
-        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
-        m, v, x = np.zeros(n), np.zeros(n), params.vector.copy()
-        for t in range(1, 21):
-            grad = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 3, size=n)
-            grad[:2] = (0.0, -0.0)
-            params = tr.adam_step(state, params, grad, maximize=maximize)
-            g = -grad if maximize else grad
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1 ** t)
-            v_hat = v / (1.0 - b2 ** t)
-            x = x - lr * m_hat / (np.sqrt(v_hat) + eps)
-            np.testing.assert_array_equal(_bits(state.m), _bits(m))
-            np.testing.assert_array_equal(_bits(state.v), _bits(v))
-            np.testing.assert_array_equal(_bits(params.vector), _bits(x))
-            assert state.step == t
+def test_adam_matches_the_closed_form_bit_for_bit(maximize, monkeypatch):
+    for _ in each_lane_count(monkeypatch):
+        rng = np.random.default_rng(8)
+        # one partial tile; three whole tiles and a ragged one, split 2 + 2 on two lanes
+        for n in (64, 3 * TILE + 17):
+            params = ParamVector.build({"a": rng.normal(size=n)})
+            state = tr.AdamState.for_params(params, lr=0.01)
+            b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+            m, v, x = np.zeros(n), np.zeros(n), params.vector.copy()
+            for t in range(1, 21):
+                grad = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 3, size=n)
+                grad[:2] = (0.0, -0.0)
+                params = tr.adam_step(state, params, grad, maximize=maximize)
+                g = -grad if maximize else grad
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * g * g
+                m_hat = m / (1.0 - b1 ** t)
+                v_hat = v / (1.0 - b2 ** t)
+                x = x - lr * m_hat / (np.sqrt(v_hat) + eps)
+                np.testing.assert_array_equal(_bits(state.m), _bits(m))
+                np.testing.assert_array_equal(_bits(state.v), _bits(v))
+                np.testing.assert_array_equal(_bits(params.vector), _bits(x))
+                assert state.step == t
 
 
 def test_adam_leaves_the_input_vector_and_gradient_unchanged():
@@ -97,30 +102,32 @@ def test_adam_leaves_the_input_vector_and_gradient_unchanged():
         np.testing.assert_array_equal(grad, grad0)
 
 
-def test_adam_skipped_step_leaves_the_moments_untouched():
-    params = ParamVector.build({"a": np.array([1.0, -1.0])})
-    state = tr.AdamState.for_params(params, lr=0.1)
-    params = tr.adam_step(state, params, np.array([0.5, -2.0]))
-    m, v = state.m.copy(), state.v.copy()
-    for bad in (np.array([np.nan, 1.0]), np.array([1.0, np.inf]), np.array([-np.inf, 0.0])):
-        out = tr.adam_step(state, params, bad)
-        assert out is params
-    np.testing.assert_array_equal(_bits(state.m), _bits(m))
-    np.testing.assert_array_equal(_bits(state.v), _bits(v))
-    assert state.step == 1 and state.skipped == 3
+def test_adam_skipped_step_leaves_the_moments_untouched(monkeypatch):
+    for _ in each_lane_count(monkeypatch):
+        params = ParamVector.build({"a": np.array([1.0, -1.0])})
+        state = tr.AdamState.for_params(params, lr=0.1)
+        params = tr.adam_step(state, params, np.array([0.5, -2.0]))
+        m, v = state.m.copy(), state.v.copy()
+        for bad in (np.array([np.nan, 1.0]), np.array([1.0, np.inf]), np.array([-np.inf, 0.0])):
+            out = tr.adam_step(state, params, bad)
+            assert out is params
+        np.testing.assert_array_equal(_bits(state.m), _bits(m))
+        np.testing.assert_array_equal(_bits(state.v), _bits(v))
+        assert state.step == 1 and state.skipped == 3
 
-    # a non-finite entry in the last tile must not let earlier tiles update
-    n = 3 * TILE + 17
-    params = ParamVector.build({"a": np.ones(n)})
-    state = tr.AdamState.for_params(params, lr=0.1)
-    params = tr.adam_step(state, params, np.linspace(-1.0, 1.0, n))
-    m, v = state.m.copy(), state.v.copy()
-    bad = np.ones(n)
-    bad[-1] = np.nan
-    assert tr.adam_step(state, params, bad) is params
-    np.testing.assert_array_equal(_bits(state.m), _bits(m))
-    np.testing.assert_array_equal(_bits(state.v), _bits(v))
-    assert state.step == 1 and state.skipped == 1
+        # a non-finite entry in the last tile must not let earlier tiles, or
+        # the other lane's, update
+        n = 3 * TILE + 17
+        params = ParamVector.build({"a": np.ones(n)})
+        state = tr.AdamState.for_params(params, lr=0.1)
+        params = tr.adam_step(state, params, np.linspace(-1.0, 1.0, n))
+        m, v = state.m.copy(), state.v.copy()
+        bad = np.ones(n)
+        bad[-1] = np.nan
+        assert tr.adam_step(state, params, bad) is params
+        np.testing.assert_array_equal(_bits(state.m), _bits(m))
+        np.testing.assert_array_equal(_bits(state.v), _bits(v))
+        assert state.step == 1 and state.skipped == 1
 
 
 # IDX loading -------------------------------------------------------------------
@@ -293,6 +300,67 @@ def test_train_aborts_on_an_all_zero_weight_step_and_writes_its_files(tmp_path, 
     for name in ("config.cfg", "metrics.csv", "checkpoint.tvom", "events.log"):
         assert (out / name).exists(), name
     assert (out / "events.log").read_text() == result.events[0] + "\n"
+
+
+class _EvaluationBlindToy(tr.ToyBernoulli):
+    """A toy whose log p is -inf on every sample of an item x = 1, only in
+    evaluation blocks (S = 500) and from its `blind_from`-th such block on;
+    it records the thread that scores each block it blinds."""
+
+    def __init__(self, blind_from):
+        super().__init__(m=2, d_x=1)
+        self.blind_from, self.calls, self.blind_threads = blind_from, itertools.count(), []
+
+    def log_joint(self, view, x, z):
+        lj = super().log_joint(view, x, z)
+        if np.shape(z)[1] != 500 or next(self.calls) < self.blind_from:
+            return lj
+        ones = x[:, 0] == 1.0
+        if ones.any():
+            self.blind_threads.append(threading.current_thread())
+        return np.where(ones[:, None], -np.inf, lj)
+
+
+# 8 items at S = 500 are 4 toy blocks of 2 items; the one x = 1 sits in the
+# second block, the one the second lane scores when there are two lanes
+_BLIND_ITEMS = np.array([[0.0], [0.0], [0.0], [1.0], [0.0], [0.0], [0.0], [0.0]])
+
+
+def test_train_aborts_on_a_degenerate_evaluation_block_and_writes_its_files(tmp_path, monkeypatch):
+    # the second evaluation loses x = 1's support: the evaluation row is under
+    # the abort policy, so the run keeps its first row and its last good
+    # parameters, and writes all four files
+    data = tr.Dataset(train=np.zeros((16, 1)), test=_BLIND_ITEMS)
+    config = tr.RunConfig(model="toy", d_x=1, m_latent=2, S=4, K=1, iters=5, batch=4, seed=0,
+                          eval_interval=1, eval_samples=500, single_thread=True)
+    for lanes in each_lane_count(monkeypatch):
+        out = tmp_path / f"run{lanes}"
+        model = _EvaluationBlindToy(blind_from=4)
+        monkeypatch.setattr(tr, "build_model", lambda cfg, dat: model)
+        result = tr.train(replace(config, out=str(out)), data)
+        assert result.aborted and [row.iteration for row in result.metrics] == [1]
+        assert result.events == ["iteration 1: all importance weights are zero for some observation; "
+                                 "aborting with last good parameters"]
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["checkpoint.tvom", "config.cfg", "events.log", "metrics.csv"]
+        assert len((out / "metrics.csv").read_text().splitlines()) == 2
+        assert (model.blind_threads[0] is threading.main_thread()) == (lanes == 1)
+        # one iteration of a model that never blinds ends where the aborted run did
+        monkeypatch.setattr(tr, "build_model", lambda cfg, dat: _EvaluationBlindToy(blind_from=10 ** 9))
+        one = tr.train(replace(config, iters=1), data)
+        assert one.metrics == result.metrics
+        assert one.params.vector.tobytes() == result.params.vector.tobytes()
+
+
+def test_a_degenerate_block_on_the_second_lane_raises_from_evaluate(monkeypatch):
+    # the helper's block raises after the caller's block is scored, with the
+    # error a serial evaluation raises
+    force_lanes(monkeypatch, 2)
+    model = _EvaluationBlindToy(blind_from=0)
+    with pytest.raises(DegenerateWeightsError) as err:
+        tr.evaluate(model, model.init_params(0), _BLIND_ITEMS, 500, 0)
+    assert str(err.value) == "all importance weights are zero for some observation"
+    assert len(model.blind_threads) == 1 and model.blind_threads[0] is not threading.main_thread()
 
 
 def test_wake_sleep_produces_both_metric_streams(tmp_path):
